@@ -86,22 +86,9 @@ impl FromStr for SchemeSpec {
 }
 
 impl SchemeSpec {
-    /// Construct the organisation.
-    pub fn build(&self, cfg: SystemConfig) -> Box<dyn L2Org> {
-        match *self {
-            SchemeSpec::L2p => Box::new(L2p::new(cfg)),
-            SchemeSpec::L2s => Box::new(L2s::new(cfg)),
-            SchemeSpec::Cc { spill_probability } => Box::new(Cc::new(cfg, spill_probability)),
-            SchemeSpec::Dsr(d) => Box::new(Dsr::new(cfg, d)),
-            SchemeSpec::Snug(s) => Box::new(Snug::new(cfg, s)),
-        }
-    }
-
-    /// Construct the organisation without type erasure: the returned
-    /// [`AnyOrg`] dispatches by `match` instead of vtable, which lets
-    /// the compiler inline the per-access scheme code into the session
-    /// hot loop. Prefer this for simulation sessions; `build` remains
-    /// for contexts that need an open-ended `dyn` object.
+    /// Construct the organisation. The returned [`AnyOrg`] dispatches
+    /// by `match` instead of vtable, which lets the compiler inline the
+    /// per-access scheme code into the session hot loop.
     pub fn build_any(&self, cfg: SystemConfig) -> AnyOrg {
         match *self {
             SchemeSpec::L2p => AnyOrg::L2p(L2p::new(cfg)),
@@ -118,13 +105,10 @@ impl SchemeSpec {
 
 /// The five paper schemes behind one concrete, `match`-dispatched type.
 ///
-/// [`SchemeSpec::build`] erases the scheme behind `Box<dyn L2Org>`,
-/// which costs an indirect call per L1 miss on the session hot path —
-/// measurable once everything around it is lean. `AnyOrg` is the closed
-/// enum over the same five organisations: dispatch compiles to a jump
-/// table and each scheme's access path can inline. The `dyn` route
-/// stays available for downstream extension; everything first-party
-/// runs on this enum.
+/// A `Box<dyn L2Org>` would cost an indirect call per L1 miss on the
+/// session hot path. `AnyOrg` is the closed enum over the five
+/// organisations: dispatch compiles to a jump table, each scheme's
+/// access path can inline, and `Clone` gives sessions their snapshots.
 #[derive(Clone)]
 pub enum AnyOrg {
     /// Private baseline.
@@ -324,7 +308,7 @@ mod tests {
             SchemeSpec::Dsr(DsrConfig::tiny()),
             SchemeSpec::Snug(SnugConfig::scaled(1000)),
         ] {
-            let org = spec.build(cfg);
+            let org = spec.build_any(cfg);
             assert_eq!(org.num_cores(), 4);
         }
     }

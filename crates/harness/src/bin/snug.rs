@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! snug sweep        [--class C5]... [--quick|--mid|--eval|--warmup N --measure N]
-//!                   [--threads N] [--results DIR] [--name NAME]
+//!                   [--jobs N] [--results DIR] [--name NAME]
 //! snug report       [same selection flags] [--results DIR] [--out DIR]
 //!                   [--experiments-md [--check]]
 //! snug compare      --combo LABEL | --class C [budget flags] [--results DIR]
@@ -130,12 +130,12 @@ committed EXPERIMENTS_EVAL.md — the eval-budget converged sweep with the
 Fig. 9 SNUG-vs-CC(Best) verdict — over its pinned spec (no budget flags
 apply).
 
-Parallel execution: `snug sweep --jobs N` (`--threads` is an alias;
-0 = all cores) runs unit jobs on a worker pool. Each worker appends
-completed units to its own crash-safe shard under results/shards/, and
-shards merge into results/store.jsonl in deterministic plan order at
-sweep end — the store bytes are identical for every N, and a sweep
-killed mid-flight recovers its completed units on the next run.
+Parallel execution: `snug sweep --jobs N` (0 = all cores) runs unit
+jobs on a worker pool. Each worker appends completed units to its own
+crash-safe shard under results/shards/, and shards merge into
+results/store.jsonl in deterministic plan order at sweep end — the
+store bytes are identical for every N, and a sweep killed mid-flight
+recovers its completed units on the next run.
 Baseline pacing under --until-converged is a dependency edge, not a
 barrier: a combo's L2P unit gates only that combo's paced siblings, and
 everything else runs freely. If a baseline fails, its dependents are
@@ -291,7 +291,7 @@ struct Flags {
     classes: Vec<ComboClass>,
     spec_file: Option<PathBuf>,
     budget: BudgetFlags,
-    threads: usize,
+    jobs: usize,
     results_dir: PathBuf,
     out_dir: Option<PathBuf>,
     name: Option<String>,
@@ -318,7 +318,7 @@ impl Flags {
             classes: Vec::new(),
             spec_file: None,
             budget: BudgetFlags::default(),
-            threads: 0,
+            jobs: 0,
             results_dir: PathBuf::from("results"),
             out_dir: None,
             name: None,
@@ -356,10 +356,7 @@ impl Flags {
                         f.classes.push(part.trim().parse()?);
                     }
                 }
-                // `--jobs` is the canonical name since the parallel
-                // executor landed; `--threads` stays as an alias.
-                "--jobs" => f.threads = parse_num(&value("--jobs")?)? as usize,
-                "--threads" => f.threads = parse_num(&value("--threads")?)? as usize,
+                "--jobs" => f.jobs = parse_num(&value("--jobs")?)? as usize,
                 "--results" => f.results_dir = PathBuf::from(value("--results")?),
                 "--out" => f.out_dir = Some(PathBuf::from(value("--out")?)),
                 "--name" => f.name = Some(value("--name")?),
@@ -568,7 +565,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     }
     let verbose = flags.verbose;
     let mut spans: Vec<UnitSpan> = Vec::new();
-    let outcome = run_sweep(&spec, &mut store, flags.threads, |event| match event {
+    let outcome = run_sweep(&spec, &mut store, flags.jobs, |event| match event {
         SweepEvent::Planned {
             total,
             hits,
@@ -923,7 +920,7 @@ fn cmd_compare(args: &[String]) -> Result<(), String> {
     check_spec_phase_schedule(&spec)?;
 
     let mut store = ResultStore::open(&flags.results_dir).map_err(|e| e.to_string())?;
-    let outcome = run_sweep(&spec, &mut store, flags.threads, |_| {}).map_err(|e| e.to_string())?;
+    let outcome = run_sweep(&spec, &mut store, flags.jobs, |_| {}).map_err(|e| e.to_string())?;
     let results: Vec<_> = outcome
         .combos
         .iter()
@@ -988,14 +985,7 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
                  `ammp+parser+swim+mesa`)"
             )
         })?;
-    let spec: SchemeSpec = scheme_name.parse()?;
-    let point = match spec {
-        SchemeSpec::L2p => SchemePoint::L2p,
-        SchemeSpec::L2s => SchemePoint::L2s,
-        SchemeSpec::Cc { spill_probability } => SchemePoint::Cc { spill_probability },
-        SchemeSpec::Dsr(_) => SchemePoint::Dsr,
-        SchemeSpec::Snug(_) => SchemePoint::Snug,
-    };
+    let point = parse_point(scheme_name)?;
 
     let budget = flags.budget.budget(BudgetPreset::Mid)?;
     let cfg = budget.compare_config();
@@ -1063,6 +1053,21 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Parse a scheme name (`snug`, `CC(50%)`, `cc@50%`, …) into the
+/// comparison point it names. The point, not the parsed spec, is what
+/// gets simulated: `point.spec(&cfg)` carries the budget's DSR and SNUG
+/// parameters, as sweeps use them, where the parsed spec would carry
+/// the paper's.
+fn parse_point(scheme_name: &str) -> Result<SchemePoint, String> {
+    Ok(match scheme_name.parse::<SchemeSpec>()? {
+        SchemeSpec::L2p => SchemePoint::L2p,
+        SchemeSpec::L2s => SchemePoint::L2s,
+        SchemeSpec::Cc { spill_probability } => SchemePoint::Cc { spill_probability },
+        SchemeSpec::Dsr(_) => SchemePoint::Dsr,
+        SchemeSpec::Snug(_) => SchemePoint::Snug,
+    })
+}
+
 /// `snug profile COMBO SCHEME`: run one simulation in-process and
 /// render its observability counters as tables, with wall-clock
 /// throughput and the measured probe overhead in the footer.
@@ -1093,9 +1098,10 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
                  `ammp+parser+swim+mesa`)"
             )
         })?;
-    let spec: SchemeSpec = scheme_name.parse()?;
+    let point = parse_point(scheme_name)?;
     let budget = flags.budget.budget(BudgetPreset::Quick)?;
     let cfg = budget.compare_config();
+    let spec = point.spec(&cfg);
 
     // The obs counters themselves cannot be toggled at runtime (they
     // are a compile-time feature), so the measurable overhead is the
@@ -1124,12 +1130,14 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     let (result, counters) = harvested.expect("three repetitions ran");
 
     let window = cfg.plan.measure_cycles();
+    let sim_cycles = cfg.plan.warmup_cycles + window;
+    let core_cycles = sim_cycles * cfg.system.num_cores as u64;
     let format = flags.format.unwrap_or(TableFormat::Markdown);
     for table in [
         counters.hit_miss_table(),
         counters.dispatch_table(window),
         counters.walk_depth_table(),
-        counters.cost_center_table(window),
+        counters.cost_center_table(window, core_cycles),
     ] {
         match format {
             TableFormat::Markdown => print!("{}", table.to_markdown()),
@@ -1141,11 +1149,10 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
     }
 
     let secs = probed_nanos as f64 / 1e9;
-    let sim_cycles = cfg.plan.warmup_cycles + window;
     let overhead = 100.0 * (probed_nanos as f64 - bare_nanos as f64) / bare_nanos as f64;
     eprintln!(
-        "\nprofile {} [{}] budget {}: throughput {:.3}, {} retired ops in {:.2} s wall \
-         ({}cycles/s, {}ops/s)",
+        "\nprofile {} [{}] budget {}: throughput {:.3}, {} retired memory ops in {:.2} s \
+         wall ({}cycles/s, {}memops/s)",
         combo.label(),
         result.scheme,
         budget.label(),

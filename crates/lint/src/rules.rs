@@ -68,12 +68,6 @@ pub const RULES: &[RuleInfo] = &[
         summary: "every first-party library crate keeps #![forbid(unsafe_code)] in lib.rs",
     },
     RuleInfo {
-        name: "snapshot-completeness",
-        summary: "every field of a session-state struct must be captured into its *Snapshot \
-                  struct and written back in restore — state that escapes the snapshot breaks \
-                  determinism",
-    },
-    RuleInfo {
         name: "codec-field-bijection",
         summary: "every field of a struct with a to_json/from_json pair must appear in both \
                   bodies — one-sided codecs drop data on the round trip",
@@ -167,7 +161,6 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
         }
     }
 
-    crate::semantic::snapshot_completeness(&graph, &symtab, &mut raw);
     crate::semantic::codec_field_bijection(&graph, &symtab, &mut raw);
     crate::semantic::obs_cfg_consistency(&graph, &mut raw);
     crate::semantic::lossy_cast_in_kernel(&graph, &mut raw);

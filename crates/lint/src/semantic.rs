@@ -2,16 +2,14 @@
 //! item structure and cross-file type resolution, not just a token
 //! stream.
 //!
-//! Each rule here guards a historical bug class of this repo:
-//! session state missed by `snapshot()` (the PR 3–6 determinism
-//! fixes), codec fields silently dropped from JSON round-trips (the
-//! PR 6 `SimCounters` bijection bug), counter tallies escaping the
-//! `obs` feature gate (the PR 6 silent-feature-weld), and truncating
-//! casts in kernel hot paths. Findings are pragma-suppressible like
+//! Each rule here guards a historical bug class of this repo: codec
+//! fields silently dropped from JSON round-trips (the `SimCounters`
+//! bijection bug), counter tallies escaping the `obs` feature gate
+//! (the silent feature weld), and truncating casts in kernel hot
+//! paths. Findings are pragma-suppressible like
 //! any token rule — the engine applies suppression globally after
 //! all rules have run.
 
-use crate::items::FnItem;
 use crate::lexer::TokKind;
 use crate::rules::Finding;
 use crate::symbols::{FileCtx, Graph, SymbolTable};
@@ -56,168 +54,6 @@ fn mentions_field(ctx: &FileCtx<'_>, span: (usize, usize), name: &str) -> bool {
         }
     }
     false
-}
-
-/// True when the signature span mentions `name` as an identifier.
-fn sig_mentions(ctx: &FileCtx<'_>, sig: (usize, usize), name: &str) -> bool {
-    let hi = sig.1.min(ctx.toks.len());
-    ctx.toks[sig.0..hi].iter().any(|t| t.is_ident(name))
-}
-
-/// `snapshot-completeness`: for every `*Snapshot` struct, the paired
-/// state struct's fields must all be captured, and every snapshot
-/// field must be read in the capture method and written back in the
-/// restore method.
-///
-/// Pairing is conventional and documented: the capture is a method
-/// named `snapshot` (on some other type — the state) whose signature
-/// mentions the snapshot type; the restore is any method of the
-/// snapshot type whose body mentions the state type (it builds one).
-/// Snapshot structs with no such capture method are out of scope.
-pub fn snapshot_completeness(graph: &Graph<'_>, symtab: &SymbolTable, out: &mut Vec<Finding>) {
-    for (fi, ctx) in graph.files.iter().enumerate() {
-        if ctx.file.kind != FileKind::Lib {
-            continue;
-        }
-        for snap in &ctx.items.structs {
-            if !snap.name.ends_with("Snapshot") || !snap.has_named_fields || snap.fields.is_empty()
-            {
-                continue;
-            }
-            let Some((cap_fi, state_name, capture)) = find_capture(graph, &snap.name) else {
-                continue;
-            };
-            let cap_ctx = &graph.files[cap_fi];
-            let snap_fields: Vec<&str> = snap.fields.iter().map(|f| f.name.as_str()).collect();
-
-            // Every state field must have a slot in the snapshot.
-            if let Some((sfi, state)) = symtab.resolve_struct(graph, cap_fi, &state_name) {
-                let state_ctx = &graph.files[sfi];
-                for f in &state.fields {
-                    if !snap_fields.contains(&f.name.as_str()) {
-                        out.push(Finding {
-                            file: state_ctx.file.rel.clone(),
-                            line: f.line,
-                            rule: "snapshot-completeness".into(),
-                            msg: format!(
-                                "field `{}` of `{}` has no slot in `{}` — state that escapes \
-                                 the snapshot breaks restore determinism; capture it or \
-                                 pragma-justify why it is derived/transient",
-                                f.name, state_name, snap.name
-                            ),
-                        });
-                    }
-                }
-            }
-
-            // Every snapshot field must be read in the capture body…
-            if let Some(body) = capture.body {
-                for f in &snap.fields {
-                    if !mentions_field(cap_ctx, body, &f.name) {
-                        out.push(Finding {
-                            file: ctx.file.rel.clone(),
-                            line: f.line,
-                            rule: "snapshot-completeness".into(),
-                            msg: format!(
-                                "snapshot field `{}` is never populated in `{}::snapshot` — \
-                                 the capture silently drops it",
-                                f.name, state_name
-                            ),
-                        });
-                    }
-                }
-            }
-
-            // …and written back in the restore.
-            match find_restore(graph, fi, &snap.name, &state_name) {
-                Some((r_fi, restore)) => {
-                    let r_ctx = &graph.files[r_fi];
-                    if let Some(body) = restore.body {
-                        for f in &snap.fields {
-                            if !mentions_field(r_ctx, body, &f.name) {
-                                out.push(Finding {
-                                    file: ctx.file.rel.clone(),
-                                    line: f.line,
-                                    rule: "snapshot-completeness".into(),
-                                    msg: format!(
-                                        "snapshot field `{}` is never written back in \
-                                         `{}::{}` — restore would lose it",
-                                        f.name, snap.name, restore.name
-                                    ),
-                                });
-                            }
-                        }
-                    }
-                }
-                None => out.push(Finding {
-                    file: ctx.file.rel.clone(),
-                    line: snap.line,
-                    rule: "snapshot-completeness".into(),
-                    msg: format!(
-                        "`{}` is captured from `{}` but no method of `{}` builds a `{}` back — \
-                         restore is missing or unrecognizable",
-                        snap.name, state_name, snap.name, state_name
-                    ),
-                }),
-            }
-        }
-    }
-}
-
-/// Find the capture: a bodied method named `snapshot` in a lib-file
-/// impl of some *other* type, whose signature mentions `snap_name`.
-/// Returns (file index, state type name, the method).
-fn find_capture<'g>(graph: &'g Graph<'_>, snap_name: &str) -> Option<(usize, String, &'g FnItem)> {
-    for (fi, ctx) in graph.files.iter().enumerate() {
-        if ctx.file.kind != FileKind::Lib {
-            continue;
-        }
-        for imp in &ctx.items.impls {
-            if imp.self_ty == snap_name {
-                continue;
-            }
-            for m in &imp.methods {
-                if m.name == "snapshot" && m.body.is_some() && sig_mentions(ctx, m.sig, snap_name) {
-                    return Some((fi, imp.self_ty.clone(), m));
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Find the restore: a bodied method in an impl of the snapshot type
-/// whose body mentions the state type. The defining file is searched
-/// first so a same-file `to_session` wins over helpers elsewhere.
-fn find_restore<'g>(
-    graph: &'g Graph<'_>,
-    snap_fi: usize,
-    snap_name: &str,
-    state_name: &str,
-) -> Option<(usize, &'g FnItem)> {
-    let order = std::iter::once(snap_fi).chain(0..graph.files.len());
-    for fi in order {
-        let ctx = &graph.files[fi];
-        if ctx.file.kind != FileKind::Lib {
-            continue;
-        }
-        for imp in &ctx.items.impls {
-            if imp.self_ty != snap_name {
-                continue;
-            }
-            for m in &imp.methods {
-                if let Some(body) = m.body {
-                    if ctx.toks[body.0..=body.1]
-                        .iter()
-                        .any(|t| t.is_ident(state_name))
-                    {
-                        return Some((fi, m));
-                    }
-                }
-            }
-        }
-    }
-    None
 }
 
 /// `codec-field-bijection`: an impl carrying both `to_json` and

@@ -1,8 +1,8 @@
 //! Acceptance tests for the semantic rules against the *real*
 //! workspace sources: delete a load-bearing line from an in-memory
-//! copy of `session.rs` / `codec.rs` and prove the matching rule
-//! fires. This is the contract the rules exist for — a dropped
-//! capture line or codec line can never land silently again.
+//! copy of `codec.rs` and prove the matching rule fires. This is the
+//! contract the rules exist for — a dropped codec line can never land
+//! silently again.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -37,7 +37,8 @@ fn without_lines(text: &str, needle: &str) -> String {
     out
 }
 
-/// An in-memory workspace over the real snapshot + codec sources.
+/// An in-memory workspace over the real session, counter and codec
+/// sources.
 /// `mutate` sees each file's repo-relative path and text and returns
 /// the (possibly edited) text. Crate names are chosen so each file
 /// keeps its real role: `sim-cmp` stays a kernel crate, while the
@@ -91,17 +92,6 @@ fn findings_after(target: &str, needle: &str) -> Vec<Finding> {
 fn unmutated_real_sources_are_clean() {
     let findings = run(&workspace(|_, text| text));
     assert!(findings.is_empty(), "{findings:#?}");
-}
-
-#[test]
-fn deleting_a_snapshot_capture_line_fires_snapshot_completeness() {
-    let findings = findings_after("crates/sim-cmp/src/session.rs", "tally: self.tally,");
-    assert!(
-        findings.iter().any(|f| f.rule == "snapshot-completeness"
-            && f.msg.contains("`tally`")
-            && f.msg.contains("never populated")),
-        "{findings:#?}"
-    );
 }
 
 #[test]

@@ -227,7 +227,7 @@ impl SimCounters {
             vec!["counter", "count", "per 1k cycles"],
         );
         for (name, count) in [
-            ("retired ops", self.retired_ops),
+            ("retired memory ops", self.retired_ops),
             ("L2Org accesses", self.org_accesses),
             ("L2Org writebacks", self.org_writebacks),
             ("bus address txns", self.bus_address_transactions),
@@ -279,32 +279,63 @@ impl SimCounters {
         t
     }
 
-    /// Top cost centers: the stall/queue cycle pools ranked by size,
-    /// each with its share of the window (per-core cycles for core
-    /// stalls, channel cycles for queues).
-    pub fn cost_center_table(&self, window_cycles: u64) -> Table {
+    /// Top cost centers: the stall/queue cycle pools ranked by share.
+    /// Bus and DRAM queueing is a share of the measured window. Core
+    /// stalls are summed over the cores and are never reset at the
+    /// warm-up boundary, so they are a share of `core_cycles`: the
+    /// whole run's cycles times the core count.
+    pub fn cost_center_table(&self, window_cycles: u64, core_cycles: u64) -> Table {
         let mut centers = [
-            ("core ROB stalls", self.core_rob_stall_cycles),
-            ("core MSHR stalls", self.core_mshr_stall_cycles),
-            ("core dependent-load stalls", self.core_dep_stall_cycles),
-            ("bus queueing", self.bus_queue_cycles),
-            ("dram queueing", self.dram_queue_cycles),
-        ];
-        centers.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
-        let mut t = Table::new(
-            "Top cost centers (stall + queue cycles)",
-            vec!["cost center", "cycles", "% of window"],
-        );
-        for (name, cycles) in centers {
-            let share = if window_cycles == 0 {
+            (
+                "core ROB stalls",
+                self.core_rob_stall_cycles,
+                core_cycles,
+                "core-cycles",
+            ),
+            (
+                "core MSHR stalls",
+                self.core_mshr_stall_cycles,
+                core_cycles,
+                "core-cycles",
+            ),
+            (
+                "core dependent-load stalls",
+                self.core_dep_stall_cycles,
+                core_cycles,
+                "core-cycles",
+            ),
+            (
+                "bus queueing",
+                self.bus_queue_cycles,
+                window_cycles,
+                "window",
+            ),
+            (
+                "dram queueing",
+                self.dram_queue_cycles,
+                window_cycles,
+                "window",
+            ),
+        ]
+        .map(|(name, cycles, total, of)| {
+            let share = if total == 0 {
                 0.0
             } else {
-                cycles as f64 / window_cycles as f64
+                cycles as f64 / total as f64
             };
+            (name, cycles, share, of)
+        });
+        centers.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(b.0)));
+        let mut t = Table::new(
+            "Top cost centers (stall + queue cycles)",
+            vec!["cost center", "cycles", "share", "of"],
+        );
+        for (name, cycles, share, of) in centers {
             t.push_row(vec![
                 name.to_string(),
                 cycles.to_string(),
                 format!("{:.1} %", share * 100.0),
+                of.to_string(),
             ]);
         }
         t
@@ -321,7 +352,7 @@ impl SimCounters {
             }
         };
         format!(
-            "retired {} ops · L1I {:.1} % / L1D {:.1} % / L2 {:.1} % hit · \
+            "retired {} memory ops · L1I {:.1} % / L1D {:.1} % / L2 {:.1} % hit · \
              {} bus txns · {} dram reqs · {} spills out · {} relatches",
             self.retired_ops,
             rate(self.l1i_hits, self.l1i_misses),
@@ -404,13 +435,13 @@ mod tests {
         assert!(hm.contains("L1D"));
         assert!(hm.contains("93.8 %"), "30/32 L1D hit rate: {hm}");
         let d = c.dispatch_table(1000);
-        assert_eq!(d.rows[0][0], "retired ops");
+        assert_eq!(d.rows[0][0], "retired memory ops");
         assert_eq!(d.rows[0][2], "100.0", "100 ops per 1k cycles");
         assert!(c.dispatch_table(0).to_csv().contains(",-"));
         let w = c.walk_depth_table();
         assert_eq!(w.len(), WALK_DEPTH_BUCKETS);
         assert!(w.to_markdown().contains("8+"));
-        let cc = c.cost_center_table(100);
+        let cc = c.cost_center_table(100, 100);
         assert_eq!(cc.rows[0][0], "core ROB stalls", "largest pool first");
         assert!(cc.to_markdown().contains("40.0 %"));
     }
@@ -418,8 +449,35 @@ mod tests {
     #[test]
     fn summary_is_compact() {
         let s = sample().summary();
-        assert!(s.contains("retired 100 ops"));
+        assert!(s.contains("retired 100 memory ops"));
         assert!(s.contains("L2 70.0 % hit"));
         assert!(s.contains("1 relatches"));
+    }
+
+    #[test]
+    fn cost_center_shares_stay_within_their_denominators() {
+        // Four cores, each stalled for most of a 1000-cycle run: the
+        // summed stall pools exceed the window, but not the four cores'
+        // 4000 core-cycles.
+        let window = 1_000;
+        let c = SimCounters {
+            core_rob_stall_cycles: 3_600,
+            core_mshr_stall_cycles: 2_000,
+            core_dep_stall_cycles: 1_200,
+            bus_queue_cycles: 500,
+            dram_queue_cycles: 900,
+            ..SimCounters::default()
+        };
+        assert!(
+            c.core_rob_stall_cycles > window,
+            "the block needs core-cycles"
+        );
+        let t = c.cost_center_table(window, 4 * window);
+        assert_eq!(t.rows[0][0], "core ROB stalls");
+        assert_eq!(t.rows[0][2], "90.0 %");
+        for row in &t.rows {
+            let pct: f64 = row[2].trim_end_matches(" %").parse().unwrap();
+            assert!(pct <= 100.0, "{row:?}");
+        }
     }
 }

@@ -14,8 +14,7 @@
 //! * [`session`] — steppable [`session::SimSession`]s: incremental
 //!   `step`/`run_until` driving, stride probes, policy-driven early
 //!   exit, deterministic snapshot/restore;
-//! * [`system`] — the legacy one-shot driver, a thin wrapper over a
-//!   session.
+//! * [`system`] — the measured-result types a session returns.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,8 +34,8 @@ pub use plan::{
     Converged, FixedCycles, Reconverged, RunPlan, StopObservation, StopPolicy, StopSpec,
     WINDOW_SAMPLES,
 };
-pub use scheme::{ChipResources, CloneOrg, L2Fill, L2Org, L2Outcome, SchemeEvent, SchemeEventKind};
+pub use scheme::{ChipResources, L2Fill, L2Org, L2Outcome, SchemeEvent, SchemeEventKind};
 pub use session::{
     PeriodSample, Probe, SessionBuilder, SessionSnapshot, SimSession, SnapshotError,
 };
-pub use system::{CmpSystem, CoreResult, SystemResult};
+pub use system::{CoreResult, SystemResult};

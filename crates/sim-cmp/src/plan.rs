@@ -288,6 +288,12 @@ pub trait StopPolicy: Send {
     fn describe(&self) -> String;
 }
 
+impl Clone for Box<dyn StopPolicy> {
+    fn clone(&self) -> Self {
+        self.clone_policy()
+    }
+}
+
 /// Fixed-window stopping: run the whole `measure_cycles`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FixedCycles {

@@ -37,7 +37,7 @@
 use crate::config::SystemConfig;
 use crate::core::CoreModel;
 use crate::plan::{RunPlan, StopObservation, StopPolicy};
-use crate::scheme::{ChipResources, CloneOrg, L2Org, SchemeEvent, SchemeEventKind};
+use crate::scheme::{ChipResources, L2Org, SchemeEvent, SchemeEventKind};
 use crate::system::{CoreResult, SystemResult};
 use crate::Bus;
 use sim_cache::{CacheStats, SetAssocCache};
@@ -119,69 +119,25 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// A deterministic capture of a session's full state. Cheap to replay:
-/// [`SessionSnapshot::to_session`] clones the snapshot, so one capture
-/// can seed any number of sessions (the warm-up-reuse pattern).
+/// A deterministic capture of a session: a clone of its state and of
+/// its streams. Cheap to replay: [`SessionSnapshot::to_session`] clones
+/// the capture again, so one snapshot can seed any number of sessions
+/// (the warm-up-reuse pattern).
 pub struct SessionSnapshot<O> {
-    cfg: SystemConfig,
-    cores: Vec<CoreModel>,
-    l1d: Vec<SetAssocCache>,
-    l1i: Vec<SetAssocCache>,
-    bus: Bus,
-    dram: Dram,
-    org: O,
+    state: SimState<O>,
     streams: Vec<Box<dyn OpStream>>,
-    labels: Vec<String>,
-    warmup_cycles: u64,
-    policy: Box<dyn StopPolicy>,
-    stopped_at: Option<u64>,
-    policy_next_at: u64,
-    policy_origin: u64,
-    policy_prev_cycle: u64,
-    policy_cores: Vec<(u64, u64)>,
-    measuring: bool,
-    baseline: Vec<(u64, u64)>,
-    shifts: Vec<StreamShift>,
-    next_shift: usize,
-    tally: SimCounters,
 }
 
-impl<O: CloneOrg> SessionSnapshot<O> {
+impl<O: L2Org + Clone> SessionSnapshot<O> {
     /// Materialise a new session from this snapshot. The snapshot stays
-    /// intact, so the call can be repeated; probes are not part of the
-    /// captured state and start disabled.
+    /// intact, so the call can be repeated; observers are not part of
+    /// the captured state, so the session starts with no probes, no
+    /// recorded series and fresh probe latches.
     pub fn to_session(&self) -> Result<SimSession<O>, SnapshotError> {
-        let streams = clone_streams(&self.streams)?;
         Ok(SimSession {
-            cfg: self.cfg,
-            cores: self.cores.clone(),
-            l1d: self.l1d.clone(),
-            l1i: self.l1i.clone(),
-            bus: self.bus.clone(),
-            dram: self.dram.clone(),
-            org: self.org.clone_org(),
-            streams,
-            labels: self.labels.clone(),
-            warmup_cycles: self.warmup_cycles,
-            policy: self.policy.clone_policy(),
-            stopped_at: self.stopped_at,
-            policy_next_at: self.policy_next_at,
-            policy_origin: self.policy_origin,
-            policy_prev_cycle: self.policy_prev_cycle,
-            policy_cores: self.policy_cores.clone(),
-            measuring: self.measuring,
-            baseline: self.baseline.clone(),
-            shifts: self.shifts.clone(),
-            next_shift: self.next_shift,
-            fired_shifts: Vec::new(),
-            probe_stride: 0,
-            next_probe_at: 0,
-            probe_cores: Vec::new(),
-            probe_l2: CacheStats::default(),
-            probes: Vec::new(),
-            series: None,
-            tally: self.tally,
-            probe_counters: SimCounters::default(),
+            state: self.state.clone(),
+            streams: clone_streams(&self.streams)?,
+            observers: Observers::default(),
         })
     }
 
@@ -189,7 +145,7 @@ impl<O: CloneOrg> SessionSnapshot<O> {
     /// before [`SessionSnapshot::to_session`] — note the tweak applies
     /// to *future* sessions only after `org_mut` on the built session).
     pub fn org(&self) -> &O {
-        &self.org
+        &self.state.org
     }
 }
 
@@ -308,52 +264,57 @@ impl<O: L2Org> SessionBuilder<O> {
             .map(|s| s.at_cycle - warmup)
             .collect();
         boundaries.dedup();
+        let n = self.cfg.num_cores;
         SimSession {
-            cores: (0..self.cfg.num_cores)
-                .map(|_| CoreModel::new(self.cfg.core))
-                .collect(),
-            l1d: (0..self.cfg.num_cores)
-                .map(|_| SetAssocCache::new(self.cfg.l1))
-                .collect(),
-            l1i: (0..self.cfg.num_cores)
-                .map(|_| SetAssocCache::new(self.cfg.l1))
-                .collect(),
-            bus: Bus::new(self.cfg.bus),
-            dram: Dram::new(self.cfg.dram),
-            org: self.org,
-            streams: self.streams,
-            labels,
-            warmup_cycles: self.plan.warmup_cycles,
-            policy: self.plan.policy_with_boundaries(&boundaries),
-            stopped_at: None,
-            policy_next_at: 0,
-            policy_origin: 0,
-            policy_prev_cycle: 0,
-            policy_cores: Vec::new(),
-            measuring: false,
-            baseline: Vec::new(),
-            shifts: self.shifts,
-            next_shift: 0,
-            fired_shifts: Vec::new(),
-            probe_stride: self.probe_stride,
-            next_probe_at: if self.probe_stride > 0 {
-                self.probe_stride
-            } else {
-                0
+            state: SimState {
+                cores: (0..n).map(|_| CoreModel::new(self.cfg.core)).collect(),
+                l1d: (0..n).map(|_| SetAssocCache::new(self.cfg.l1)).collect(),
+                l1i: (0..n).map(|_| SetAssocCache::new(self.cfg.l1)).collect(),
+                bus: Bus::new(self.cfg.bus),
+                dram: Dram::new(self.cfg.dram),
+                org: self.org,
+                labels,
+                warmup_cycles: self.plan.warmup_cycles,
+                policy: self.plan.policy_with_boundaries(&boundaries),
+                stopped_at: None,
+                policy_next_at: 0,
+                policy_origin: 0,
+                policy_prev_cycle: 0,
+                policy_cores: Vec::new(),
+                measuring: false,
+                baseline: Vec::new(),
+                shifts: self.shifts,
+                next_shift: 0,
+                tally: SimCounters::default(),
+                cfg: self.cfg,
             },
-            probe_cores: Vec::new(),
-            probe_l2: CacheStats::default(),
-            probes: self.probes,
-            series: if self.record { Some(Vec::new()) } else { None },
-            tally: SimCounters::default(),
-            probe_counters: SimCounters::default(),
-            cfg: self.cfg,
+            streams: self.streams,
+            observers: Observers {
+                probe_stride: self.probe_stride,
+                next_probe_at: self.probe_stride,
+                probes: self.probes,
+                series: self.record.then(Vec::new),
+                ..Observers::default()
+            },
         }
     }
 }
 
 /// A steppable simulation session (see the module docs).
+///
+/// The deterministic state, the op streams and the observers are kept
+/// apart so a snapshot is one clone of the state plus a clone of the
+/// streams: state added to `SimState` is captured by construction.
 pub struct SimSession<O: L2Org> {
+    state: SimState<O>,
+    streams: Vec<Box<dyn OpStream>>,
+    observers: Observers,
+}
+
+/// Everything that decides which operations a session retires and what
+/// it measures. A snapshot clones it whole.
+#[derive(Clone)]
+struct SimState<O> {
     cfg: SystemConfig,
     cores: Vec<CoreModel>,
     l1d: Vec<SetAssocCache>,
@@ -361,11 +322,10 @@ pub struct SimSession<O: L2Org> {
     bus: Bus,
     dram: Dram,
     org: O,
-    streams: Vec<Box<dyn OpStream>>,
     labels: Vec<String>,
     warmup_cycles: u64,
-    /// The stop policy governing the measured window (state included —
-    /// cloned into snapshots).
+    /// The stop policy governing the measured window, estimator state
+    /// included.
     policy: Box<dyn StopPolicy>,
     /// The frontier cycle at which the policy ended the run early
     /// (`None`: still running, or the run reaches the horizon).
@@ -394,26 +354,32 @@ pub struct SimSession<O: L2Org> {
     shifts: Vec<StreamShift>,
     /// Index of the next unapplied shift.
     next_shift: usize,
-    /// Shifts applied since the last probe sample (drained into
-    /// [`PeriodSample::shifts`]; not part of snapshots, like probes).
-    fired_shifts: Vec<StreamShift>, // snug-lint: allow(snapshot-completeness, "probe-period drain buffer; restored sessions start a fresh period")
-    probe_stride: u64, // snug-lint: allow(snapshot-completeness, "probe config, not simulation state; to_session re-installs probes explicitly")
-    next_probe_at: u64, // snug-lint: allow(snapshot-completeness, "probe latch; restored sessions restart probing from install_probe")
-    /// Per-core (instructions, cycle) at the previous probe tick.
-    probe_cores: Vec<(u64, u64)>, // snug-lint: allow(snapshot-completeness, "probe latch, re-seeded when probing restarts")
-    /// Aggregate L2 stats at the previous probe tick.
-    probe_l2: CacheStats, // snug-lint: allow(snapshot-completeness, "probe latch, re-seeded when probing restarts")
-    probes: Vec<Box<dyn Probe>>, // snug-lint: allow(snapshot-completeness, "trait objects are observers, not state; snapshots restore with no probes attached")
-    series: Option<Vec<PeriodSample>>, // snug-lint: allow(snapshot-completeness, "recorded samples belong to the recording session; restore starts a fresh series")
     /// Observability tallies the session itself increments on the hot
     /// path (retired ops, L1 walk depths, L2Org dispatches, scheme
     /// relatch events); zero-cost when the `obs` feature is off. The
     /// remaining [`SimCounters`] fields are harvested from component
-    /// statistics at assembly time. Part of snapshots.
+    /// statistics at assembly time.
     tally: SimCounters,
-    /// Assembled counters at the previous probe tick (interval deltas;
-    /// not part of snapshots, like the other probe latches).
-    probe_counters: SimCounters, // snug-lint: allow(snapshot-completeness, "probe latch, re-seeded when probing restarts")
+}
+
+/// Probe and recording state: what a session reports, not what it
+/// simulates. Snapshots leave it out, so a restored session starts with
+/// the default — no probes, no series, fresh latches.
+#[derive(Default)]
+struct Observers {
+    /// Shifts applied since the last probe sample (drained into
+    /// [`PeriodSample::shifts`]).
+    fired_shifts: Vec<StreamShift>,
+    probe_stride: u64,
+    next_probe_at: u64,
+    /// Per-core (instructions, cycle) at the previous probe tick.
+    probe_cores: Vec<(u64, u64)>,
+    /// Aggregate L2 stats at the previous probe tick.
+    probe_l2: CacheStats,
+    probes: Vec<Box<dyn Probe>>,
+    series: Option<Vec<PeriodSample>>,
+    /// Assembled counters at the previous probe tick (interval deltas).
+    probe_counters: SimCounters,
 }
 
 impl<O: L2Org> SimSession<O> {
@@ -425,32 +391,37 @@ impl<O: L2Org> SimSession<O> {
     /// The simulation frontier: the minimum core-local clock. All state
     /// at cycles below the frontier is final.
     pub fn frontier(&self) -> u64 {
-        self.cores.iter().map(|c| c.cycle()).min().unwrap_or(0)
+        self.state
+            .cores
+            .iter()
+            .map(|c| c.cycle())
+            .min()
+            .unwrap_or(0)
     }
 
     /// The end of the run window (`warmup` + the policy's measured
     /// ceiling). A convergence policy may end the run earlier — see
     /// [`SimSession::stopped_at`].
     pub fn horizon(&self) -> u64 {
-        self.warmup_cycles + self.policy.max_measure_cycles()
+        self.state.warmup_cycles + self.state.policy.max_measure_cycles()
     }
 
     /// The frontier cycle at which the stop policy ended the run early,
     /// or `None` while the session is running or when it reached the
     /// horizon.
     pub fn stopped_at(&self) -> Option<u64> {
-        self.stopped_at
+        self.state.stopped_at
     }
 
     /// Measured cycles completed so far (0 before the warm-up
     /// boundary).
     pub fn measured_cycles(&self) -> u64 {
-        self.frontier().saturating_sub(self.warmup_cycles)
+        self.frontier().saturating_sub(self.state.warmup_cycles)
     }
 
     /// Whether the measurement phase has begun.
     pub fn measuring(&self) -> bool {
-        self.measuring
+        self.state.measuring
     }
 
     /// Begin measurement when the frontier has crossed the warm-up
@@ -458,7 +429,7 @@ impl<O: L2Org> SimSession<O> {
     /// the per-core baseline. Frontier-driven, so it happens at the
     /// same point in the op sequence however the session is stepped.
     fn sync_phase(&mut self) {
-        if self.measuring || self.frontier() < self.warmup_cycles {
+        if self.state.measuring || self.frontier() < self.state.warmup_cycles {
             return;
         }
         self.begin_measurement();
@@ -466,45 +437,46 @@ impl<O: L2Org> SimSession<O> {
 
     /// The warm-up boundary actions (see [`SimSession::sync_phase`]).
     fn begin_measurement(&mut self) {
-        self.org.reset_stats();
-        for l1 in self.l1d.iter_mut().chain(self.l1i.iter_mut()) {
+        self.state.org.reset_stats();
+        for l1 in self.state.l1d.iter_mut().chain(self.state.l1i.iter_mut()) {
             l1.reset_stats();
         }
-        self.bus.reset_stats();
-        self.dram.reset_stats();
-        self.baseline = self
+        self.state.bus.reset_stats();
+        self.state.dram.reset_stats();
+        self.state.baseline = self
+            .state
             .cores
             .iter()
             .map(|c| (c.instructions(), c.cycle()))
             .collect();
         // The probe delta baselines restart with the reset counters.
-        self.probe_l2 = CacheStats::default();
-        self.probe_cores = self.baseline.clone();
+        self.observers.probe_l2 = CacheStats::default();
+        self.observers.probe_cores = self.state.baseline.clone();
         // Observability counters cover the measured window, like the
         // component statistics they extend.
-        self.tally = SimCounters::default();
-        self.probe_counters = SimCounters::default();
+        self.state.tally = SimCounters::default();
+        self.observers.probe_counters = SimCounters::default();
         // The stop policy observes from the measurement-start frontier
         // on. The anchor is frontier-derived (and the frontier at the
         // warm-up transition is the same in every interleaving), so the
         // observation grid — and therefore the early-exit decision —
         // latches at the same point in the op sequence however the
         // session is driven.
-        let stride = self.policy.observe_stride();
+        let stride = self.state.policy.observe_stride();
         if stride > 0 {
-            self.policy_cores = self.baseline.clone();
-            self.policy_origin = self.frontier();
-            self.policy_prev_cycle = self.policy_origin;
-            self.policy_next_at = self.policy_origin + stride;
+            self.state.policy_cores = self.state.baseline.clone();
+            self.state.policy_origin = self.frontier();
+            self.state.policy_prev_cycle = self.state.policy_origin;
+            self.state.policy_next_at = self.state.policy_origin + stride;
         }
-        self.measuring = true;
+        self.state.measuring = true;
     }
 
     /// Execute one operation on the core with the smallest local clock.
     /// Returns `false` once every core has reached the horizon or the
     /// stop policy has ended the run (the session is complete).
     pub fn step(&mut self) -> bool {
-        if self.stopped_at.is_some() {
+        if self.state.stopped_at.is_some() {
             return false;
         }
         // One scan serves three purposes: the global minimum clock IS
@@ -513,13 +485,13 @@ impl<O: L2Org> SimSession<O> {
         // did).
         let mut min_cycle = u64::MAX;
         let mut min_core = 0;
-        for (i, core) in self.cores.iter().enumerate() {
+        for (i, core) in self.state.cores.iter().enumerate() {
             if core.cycle() < min_cycle {
                 min_cycle = core.cycle();
                 min_core = i;
             }
         }
-        if !self.measuring && min_cycle >= self.warmup_cycles {
+        if !self.state.measuring && min_cycle >= self.state.warmup_cycles {
             self.begin_measurement();
         }
         if min_cycle >= self.horizon() {
@@ -529,11 +501,11 @@ impl<O: L2Org> SimSession<O> {
         // frontier-derived like the phase transition above, so a shift
         // lands before the exact same operation in every interleaving
         // and in every snapshot → restore → resume replay.
-        if self.next_shift < self.shifts.len() {
+        if self.state.next_shift < self.state.shifts.len() {
             self.sync_shifts(min_cycle);
         }
         self.exec_op(min_core);
-        if self.probe_stride > 0 {
+        if self.observers.probe_stride > 0 {
             self.fire_probes();
         }
         self.observe_policy();
@@ -576,7 +548,7 @@ impl<O: L2Org> SimSession<O> {
     /// the ops where stepping would have invoked them non-trivially.
     fn run_batched(&mut self, target: u64) {
         loop {
-            if self.stopped_at.is_some() {
+            if self.state.stopped_at.is_some() {
                 return;
             }
             // Pre-exec boundary checks, in `step`'s order (first index
@@ -590,7 +562,7 @@ impl<O: L2Org> SimSession<O> {
             let mut min_core = 0;
             let mut second_cycle = u64::MAX;
             let mut second_idx = usize::MAX;
-            for (i, core) in self.cores.iter().enumerate() {
+            for (i, core) in self.state.cores.iter().enumerate() {
                 let cyc = core.cycle();
                 if cyc < min_cycle {
                     second_cycle = min_cycle;
@@ -602,20 +574,20 @@ impl<O: L2Org> SimSession<O> {
                     second_idx = i;
                 }
             }
-            if self.cores.len() == 1 {
+            if self.state.cores.len() == 1 {
                 second_idx = usize::MAX;
             }
             if min_cycle >= target {
                 return;
             }
-            if !self.measuring && min_cycle >= self.warmup_cycles {
+            if !self.state.measuring && min_cycle >= self.state.warmup_cycles {
                 self.begin_measurement();
             }
             let horizon = self.horizon();
             if min_cycle >= horizon {
                 return;
             }
-            if self.next_shift < self.shifts.len() {
+            if self.state.next_shift < self.state.shifts.len() {
                 self.sync_shifts(min_cycle);
             }
             // Boundaries `step` honours *before* executing an op. The
@@ -623,26 +595,26 @@ impl<O: L2Org> SimSession<O> {
             // pending shift must land before the first op at/past its
             // cycle.
             let mut pre_limit = target.min(horizon);
-            if !self.measuring {
-                pre_limit = pre_limit.min(self.warmup_cycles);
+            if !self.state.measuring {
+                pre_limit = pre_limit.min(self.state.warmup_cycles);
             }
-            if self.next_shift < self.shifts.len() {
-                pre_limit = pre_limit.min(self.shifts[self.next_shift].at_cycle);
+            if self.state.next_shift < self.state.shifts.len() {
+                pre_limit = pre_limit.min(self.state.shifts[self.state.next_shift].at_cycle);
             }
             let mut post_limit = self.post_exec_limit();
             loop {
                 self.exec_op(min_core);
-                let cyc = self.cores[min_core].cycle();
+                let cyc = self.state.cores[min_core].cycle();
                 let frontier = cyc.min(second_cycle);
                 if frontier >= post_limit {
                     // `step` calls these after every op; they only act
                     // when the frontier has reached their boundary,
                     // which is exactly now.
-                    if self.probe_stride > 0 {
+                    if self.observers.probe_stride > 0 {
                         self.fire_probes();
                     }
                     self.observe_policy();
-                    if self.stopped_at.is_some() {
+                    if self.state.stopped_at.is_some() {
                         return;
                     }
                     post_limit = self.post_exec_limit();
@@ -662,11 +634,14 @@ impl<O: L2Org> SimSession<O> {
     #[inline]
     fn post_exec_limit(&self) -> u64 {
         let mut limit = u64::MAX;
-        if self.probe_stride > 0 {
-            limit = limit.min(self.next_probe_at);
+        if self.observers.probe_stride > 0 {
+            limit = limit.min(self.observers.next_probe_at);
         }
-        if self.measuring && self.stopped_at.is_none() && self.policy.observe_stride() > 0 {
-            limit = limit.min(self.policy_next_at);
+        if self.state.measuring
+            && self.state.stopped_at.is_none()
+            && self.state.policy.observe_stride() > 0
+        {
+            limit = limit.min(self.state.policy_next_at);
         }
         limit
     }
@@ -679,11 +654,11 @@ impl<O: L2Org> SimSession<O> {
     /// recorded into the probe samples: a phantom phase-boundary event
     /// for a workload that never changed would be worse than silence.
     fn sync_shifts(&mut self, frontier: u64) {
-        while self.next_shift < self.shifts.len() {
-            if frontier < self.shifts[self.next_shift].at_cycle {
+        while self.state.next_shift < self.state.shifts.len() {
+            if frontier < self.state.shifts[self.state.next_shift].at_cycle {
                 break;
             }
-            let shift = self.shifts[self.next_shift].clone();
+            let shift = self.state.shifts[self.state.next_shift].clone();
             let mut applied = false;
             for (core, stream) in self.streams.iter_mut().enumerate() {
                 if shift.targets(core) {
@@ -691,9 +666,9 @@ impl<O: L2Org> SimSession<O> {
                 }
             }
             if applied {
-                self.fired_shifts.push(shift);
+                self.observers.fired_shifts.push(shift);
             }
-            self.next_shift += 1;
+            self.state.next_shift += 1;
         }
     }
 
@@ -712,29 +687,29 @@ impl<O: L2Org> SimSession<O> {
     /// Panics if measurement has not begun (frontier below warm-up).
     pub fn result(&self) -> SystemResult {
         assert!(
-            self.measuring,
+            self.state.measuring,
             "result() before the warm-up boundary; drive the session past \
              warmup_cycles first"
         );
-        let cores = (0..self.cfg.num_cores)
+        let cores = (0..self.state.cfg.num_cores)
             .map(|i| {
-                let (i0, c0) = self.baseline[i];
-                let instructions = self.cores[i].instructions() - i0;
-                let cycles = self.cores[i].cycle().saturating_sub(c0).max(1);
+                let (i0, c0) = self.state.baseline[i];
+                let instructions = self.state.cores[i].instructions() - i0;
+                let cycles = self.state.cores[i].cycle().saturating_sub(c0).max(1);
                 CoreResult {
-                    label: self.labels[i].clone(),
+                    label: self.state.labels[i].clone(),
                     instructions,
                     cycles,
                     ipc: instructions as f64 / cycles as f64,
-                    stalls: self.cores[i].stats(),
-                    l1d: *self.l1d[i].stats(),
+                    stalls: self.state.cores[i].stats(),
+                    l1d: *self.state.l1d[i].stats(),
                 }
             })
             .collect();
         SystemResult {
-            scheme: self.org.name().to_string(),
+            scheme: self.state.org.name().to_string(),
             cores,
-            l2: self.org.aggregate_stats(),
+            l2: self.state.org.aggregate_stats(),
         }
     }
 
@@ -742,19 +717,19 @@ impl<O: L2Org> SimSession<O> {
     /// verbatim).
     fn exec_op(&mut self, c: usize) {
         let op = self.streams[c].next_op();
-        self.cores[c].issue(op.instructions());
-        let now = self.cores[c].cycle();
-        let block = op.access.addr.block(self.cfg.l1.block_bytes);
+        self.state.cores[c].issue(op.instructions());
+        let now = self.state.cores[c].cycle();
+        let block = op.access.addr.block(self.state.cfg.l1.block_bytes);
         let (l1, stalls_core) = match op.access.kind {
-            AccessKind::IFetch => (&mut self.l1i[c], true),
-            AccessKind::Load => (&mut self.l1d[c], true),
-            AccessKind::Store => (&mut self.l1d[c], false),
+            AccessKind::IFetch => (&mut self.state.l1i[c], true),
+            AccessKind::Load => (&mut self.state.l1d[c], true),
+            AccessKind::Store => (&mut self.state.l1d[c], false),
         };
         let r = l1.access(block, op.access.kind.is_write());
         if cfg!(feature = "obs") {
-            self.tally.retired_ops += 1;
+            self.state.tally.retired_ops += 1;
             if let Some(d) = r.distance {
-                self.tally.l1_walk_depths[d.min(WALK_DEPTH_BUCKETS) - 1] += 1;
+                self.state.tally.l1_walk_depths[d.min(WALK_DEPTH_BUCKETS) - 1] += 1;
             }
         }
         if r.hit {
@@ -762,32 +737,33 @@ impl<O: L2Org> SimSession<O> {
             return;
         }
         let mut res = ChipResources {
-            bus: &mut self.bus,
-            dram: &mut self.dram,
+            bus: &mut self.state.bus,
+            dram: &mut self.state.dram,
         };
         // L1 fill displaced a dirty victim: write it back to L2 (off the
         // critical path, no demand-access accounting).
         if let Some(ev) = r.evicted {
             if ev.flags.dirty {
                 if cfg!(feature = "obs") {
-                    self.tally.org_writebacks += 1;
+                    self.state.tally.org_writebacks += 1;
                 }
-                self.org.writeback(c, ev.block, now, &mut res);
+                self.state.org.writeback(c, ev.block, now, &mut res);
             }
         }
         if cfg!(feature = "obs") {
-            self.tally.org_accesses += 1;
+            self.state.tally.org_accesses += 1;
         }
         let outcome = self
+            .state
             .org
             .access(c, block, op.access.kind.is_write(), now, &mut res);
         if stalls_core {
             // L1 hit latency is charged on top of the L2 path.
-            let completes = now + self.cfg.l1_latency + outcome.latency;
+            let completes = now + self.state.cfg.l1_latency + outcome.latency;
             if op.critical {
-                self.cores[c].stall_until(completes);
+                self.state.cores[c].stall_until(completes);
             } else {
-                self.cores[c].track_load(completes);
+                self.state.cores[c].track_load(completes);
             }
         }
     }
@@ -797,56 +773,58 @@ impl<O: L2Org> SimSession<O> {
     /// sample (labelled with the first crossed boundary) covers them —
     /// interval deltas stay conservative either way.
     fn fire_probes(&mut self) {
-        if self.probe_stride == 0 || self.frontier() < self.next_probe_at {
+        if self.observers.probe_stride == 0 || self.frontier() < self.observers.next_probe_at {
             return;
         }
         let frontier = self.frontier();
-        let boundary = self.next_probe_at;
-        self.next_probe_at = frontier - frontier % self.probe_stride + self.probe_stride;
+        let boundary = self.observers.next_probe_at;
+        self.observers.next_probe_at =
+            frontier - frontier % self.observers.probe_stride + self.observers.probe_stride;
 
         let now_cores: Vec<(u64, u64)> = self
+            .state
             .cores
             .iter()
             .map(|c| (c.instructions(), c.cycle()))
             .collect();
-        if self.probe_cores.is_empty() {
-            self.probe_cores = vec![(0, 0); now_cores.len()];
+        if self.observers.probe_cores.is_empty() {
+            self.observers.probe_cores = vec![(0, 0); now_cores.len()];
         }
-        let l2_now = self.org.aggregate_stats();
-        let events = self.org.drain_events();
+        let l2_now = self.state.org.aggregate_stats();
+        let events = self.state.org.drain_events();
         let counters = if cfg!(feature = "obs") {
             self.note_events(&events);
             let now = self.assemble_counters();
-            let delta = now.delta(&self.probe_counters);
-            self.probe_counters = now;
+            let delta = now.delta(&self.observers.probe_counters);
+            self.observers.probe_counters = now;
             Some(delta)
         } else {
             None
         };
         let sample = PeriodSample {
             cycle: boundary,
-            during_warmup: !self.measuring,
+            during_warmup: !self.state.measuring,
             instructions: now_cores
                 .iter()
-                .zip(&self.probe_cores)
+                .zip(&self.observers.probe_cores)
                 .map(|(n, p)| n.0.saturating_sub(p.0))
                 .collect(),
             cycles: now_cores
                 .iter()
-                .zip(&self.probe_cores)
+                .zip(&self.observers.probe_cores)
                 .map(|(n, p)| n.1.saturating_sub(p.1))
                 .collect(),
-            l2: stats_delta(&l2_now, &self.probe_l2),
+            l2: stats_delta(&l2_now, &self.observers.probe_l2),
             events,
-            shifts: std::mem::take(&mut self.fired_shifts),
+            shifts: std::mem::take(&mut self.observers.fired_shifts),
             counters,
         };
-        self.probe_cores = now_cores;
-        self.probe_l2 = l2_now;
-        for p in &mut self.probes {
+        self.observers.probe_cores = now_cores;
+        self.observers.probe_l2 = l2_now;
+        for p in &mut self.observers.probes {
             p.on_sample(&sample);
         }
-        if let Some(series) = &mut self.series {
+        if let Some(series) = &mut self.observers.series {
             series.push(sample);
         }
     }
@@ -859,38 +837,39 @@ impl<O: L2Org> SimSession<O> {
     /// frontier-derived, so the observation sequence (and therefore the
     /// early-exit decision) is identical in every interleaving.
     fn observe_policy(&mut self) {
-        if self.stopped_at.is_some() || !self.measuring {
+        if self.state.stopped_at.is_some() || !self.state.measuring {
             return;
         }
-        let stride = self.policy.observe_stride();
+        let stride = self.state.policy.observe_stride();
         if stride == 0 {
             return;
         }
         let frontier = self.frontier();
-        if frontier < self.policy_next_at {
+        if frontier < self.state.policy_next_at {
             return;
         }
-        let rel = frontier - self.warmup_cycles;
+        let rel = frontier - self.state.warmup_cycles;
         // An observation at or past the ceiling cannot stop anything
         // early — the run is ending anyway — and must never latch a
         // stop cycle beyond the horizon (a run that reaches the
         // ceiling reports the full window, not an "early" stop there).
-        if rel >= self.policy.max_measure_cycles() {
+        if rel >= self.state.policy.max_measure_cycles() {
             return;
         }
         // The boundary grid is anchored at the measurement-start
         // frontier (`policy_origin`), so every interval spans full
         // strides.
-        self.policy_next_at =
-            self.policy_origin + ((frontier - self.policy_origin) / stride + 1) * stride;
+        self.state.policy_next_at = self.state.policy_origin
+            + ((frontier - self.state.policy_origin) / stride + 1) * stride;
         let now: Vec<(u64, u64)> = self
+            .state
             .cores
             .iter()
             .map(|c| (c.instructions(), c.cycle()))
             .collect();
         let throughput = now
             .iter()
-            .zip(&self.policy_cores)
+            .zip(&self.state.policy_cores)
             .map(|(n, p)| {
                 let cycles = n.1.saturating_sub(p.1);
                 if cycles == 0 {
@@ -900,23 +879,23 @@ impl<O: L2Org> SimSession<O> {
                 }
             })
             .sum();
-        self.policy_cores = now;
+        self.state.policy_cores = now;
         let obs = StopObservation {
             cycle: frontier,
             measured_cycles: rel,
-            interval_cycles: frontier - self.policy_prev_cycle,
+            interval_cycles: frontier - self.state.policy_prev_cycle,
             throughput,
         };
-        self.policy_prev_cycle = frontier;
-        if self.policy.observe(&obs) {
-            self.stopped_at = Some(frontier);
+        self.state.policy_prev_cycle = frontier;
+        if self.state.policy.observe(&obs) {
+            self.state.stopped_at = Some(frontier);
         }
     }
 
     /// Take the recorded time series (empty if recording was not
     /// enabled).
     pub fn take_series(&mut self) -> Vec<PeriodSample> {
-        self.series.take().unwrap_or_default()
+        self.observers.series.take().unwrap_or_default()
     }
 
     /// Enable (or retune) series recording on a built session: probes
@@ -924,50 +903,50 @@ impl<O: L2Org> SimSession<O> {
     /// current frontier.
     pub fn enable_recording(&mut self, stride: u64) {
         assert!(stride > 0, "stride must be positive");
-        self.probe_stride = stride;
+        self.observers.probe_stride = stride;
         let frontier = self.frontier();
-        self.next_probe_at = frontier - frontier % stride + stride;
-        if self.series.is_none() {
-            self.series = Some(Vec::new());
+        self.observers.next_probe_at = frontier - frontier % stride + stride;
+        if self.observers.series.is_none() {
+            self.observers.series = Some(Vec::new());
         }
     }
 
     /// The L2 organisation.
     pub fn org(&self) -> &O {
-        &self.org
+        &self.state.org
     }
 
     /// Mutable access to the organisation (e.g. to retune a policy
     /// parameter after restoring a shared warm-up snapshot).
     pub fn org_mut(&mut self) -> &mut O {
-        &mut self.org
+        &mut self.state.org
     }
 
     /// Per-phase plateau records from the stop policy (non-empty only
     /// under a re-convergence policy; the last entry covers the phase
     /// in progress when the run ended).
     pub fn phase_plateaus(&self) -> Vec<PhasePlateau> {
-        self.policy.plateaus()
+        self.state.policy.plateaus()
     }
 
     /// System configuration.
     pub fn config(&self) -> &SystemConfig {
-        &self.cfg
+        &self.state.cfg
     }
 
     /// Bus statistics.
     pub fn bus_stats(&self) -> crate::bus::BusStats {
-        self.bus.stats()
+        self.state.bus.stats()
     }
 
     /// DRAM statistics.
     pub fn dram_stats(&self) -> sim_mem::DramStats {
-        self.dram.stats()
+        self.state.dram.stats()
     }
 
     /// L1D statistics for one core.
     pub fn l1d_stats(&self, core: usize) -> &CacheStats {
-        self.l1d[core].stats()
+        self.state.l1d[core].stats()
     }
 
     /// Tally scheme events into the observability counters (called as
@@ -981,12 +960,12 @@ impl<O: L2Org> SimSession<O> {
             return;
         }
         for e in events {
-            if e.cycle < self.warmup_cycles {
+            if e.cycle < self.state.warmup_cycles {
                 continue;
             }
             match e.kind {
-                SchemeEventKind::IdentifyBegin => self.tally.identifies += 1,
-                SchemeEventKind::GroupedBegin => self.tally.relatches += 1,
+                SchemeEventKind::IdentifyBegin => self.state.tally.identifies += 1,
+                SchemeEventKind::GroupedBegin => self.state.tally.relatches += 1,
             }
         }
     }
@@ -995,16 +974,16 @@ impl<O: L2Org> SimSession<O> {
     /// plus the component statistics (L1s, L2 organisation, bus, DRAM,
     /// core stall attribution) harvested at call time.
     fn assemble_counters(&self) -> SimCounters {
-        let mut c = self.tally;
-        for l1 in &self.l1i {
+        let mut c = self.state.tally;
+        for l1 in &self.state.l1i {
             c.l1i_hits += l1.stats().hits;
             c.l1i_misses += l1.stats().misses;
         }
-        for l1 in &self.l1d {
+        for l1 in &self.state.l1d {
             c.l1d_hits += l1.stats().hits;
             c.l1d_misses += l1.stats().misses;
         }
-        let l2 = self.org.aggregate_stats();
+        let l2 = self.state.org.aggregate_stats();
         c.l2_hits = l2.hits;
         c.l2_misses = l2.misses;
         c.l2_cc_hits = l2.cc_hits;
@@ -1016,15 +995,15 @@ impl<O: L2Org> SimSession<O> {
         c.retrieved_from_peer = l2.retrieved_from_peer;
         c.shadow_hits = l2.shadow_hits;
         c.write_buffer_hits = l2.write_buffer_hits;
-        let bus = self.bus.stats();
+        let bus = self.state.bus.stats();
         c.bus_address_transactions = bus.address_transactions;
         c.bus_data_transactions = bus.data_transactions;
         c.bus_queue_cycles = bus.queue_cycles;
-        let dram = self.dram.stats();
+        let dram = self.state.dram.stats();
         c.dram_reads = dram.reads;
         c.dram_writes = dram.writes;
         c.dram_queue_cycles = dram.queue_cycles;
-        for core in &self.cores {
+        for core in &self.state.cores {
             let s = core.stats();
             c.core_rob_stall_cycles += s.rob_stall_cycles;
             c.core_mshr_stall_cycles += s.mshr_stall_cycles;
@@ -1042,68 +1021,20 @@ impl<O: L2Org> SimSession<O> {
     /// `obs` feature is off; the harvested component statistics are
     /// always filled in.
     pub fn counters(&mut self) -> SimCounters {
-        let events = self.org.drain_events();
+        let events = self.state.org.drain_events();
         self.note_events(&events);
         self.assemble_counters()
     }
-
-    /// Replace the streams and run window, keeping all hardware state.
-    /// This is the legacy `CmpSystem::run` entry path; new code should
-    /// configure the builder instead.
-    pub(crate) fn rearm(
-        &mut self,
-        streams: Vec<Box<dyn OpStream>>,
-        warmup_cycles: u64,
-        measure_cycles: u64,
-    ) {
-        assert_eq!(streams.len(), self.cfg.num_cores, "one stream per core");
-        let plan = RunPlan::fixed(warmup_cycles, measure_cycles);
-        self.labels = streams.iter().map(|s| s.label().to_string()).collect();
-        self.streams = streams;
-        self.warmup_cycles = plan.warmup_cycles;
-        self.policy = plan.policy();
-        self.stopped_at = None;
-        self.policy_next_at = 0;
-        self.policy_origin = 0;
-        self.policy_prev_cycle = 0;
-        self.policy_cores.clear();
-        self.measuring = false;
-        self.baseline.clear();
-        self.shifts.clear();
-        self.next_shift = 0;
-        self.fired_shifts.clear();
-        self.tally = SimCounters::default();
-        self.probe_counters = SimCounters::default();
-    }
 }
 
-impl<O: CloneOrg> SimSession<O> {
+impl<O: L2Org + Clone> SimSession<O> {
     /// Capture the session's full deterministic state. Fails if any
     /// stream does not support deep-copying. Probes and any recorded
     /// series are not captured.
     pub fn snapshot(&self) -> Result<SessionSnapshot<O>, SnapshotError> {
         Ok(SessionSnapshot {
-            cfg: self.cfg,
-            cores: self.cores.clone(),
-            l1d: self.l1d.clone(),
-            l1i: self.l1i.clone(),
-            bus: self.bus.clone(),
-            dram: self.dram.clone(),
-            org: self.org.clone_org(),
+            state: self.state.clone(),
             streams: clone_streams(&self.streams)?,
-            labels: self.labels.clone(),
-            warmup_cycles: self.warmup_cycles,
-            policy: self.policy.clone_policy(),
-            stopped_at: self.stopped_at,
-            policy_next_at: self.policy_next_at,
-            policy_origin: self.policy_origin,
-            policy_prev_cycle: self.policy_prev_cycle,
-            policy_cores: self.policy_cores.clone(),
-            measuring: self.measuring,
-            baseline: self.baseline.clone(),
-            shifts: self.shifts.clone(),
-            next_shift: self.next_shift,
-            tally: self.tally,
         })
     }
 }
@@ -1533,5 +1464,63 @@ mod tests {
         let s = session(8);
         let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| s.result()));
         assert!(err.is_err());
+    }
+
+    /// A stream that keeps the default `clone_dyn` (no deep copy).
+    struct OpaqueStream(Box<dyn OpStream>);
+
+    impl OpStream for OpaqueStream {
+        fn next_op(&mut self) -> sim_mem::CoreOp {
+            self.0.next_op()
+        }
+
+        fn label(&self) -> &str {
+            self.0.label()
+        }
+    }
+
+    #[test]
+    fn snapshot_names_the_core_whose_stream_cannot_clone() {
+        let cfg = SystemConfig::tiny_test();
+        let mut mixed = streams(64, 3);
+        let opaque = OpaqueStream(mixed.remove(2));
+        mixed.insert(2, Box::new(opaque));
+        let s = SimSession::builder(cfg, TestOrg::new(&cfg))
+            .streams(mixed)
+            .budget(2_000, 30_000)
+            .build();
+        assert_eq!(
+            s.snapshot().err(),
+            Some(SnapshotError::StreamNotCloneable(2))
+        );
+    }
+
+    #[test]
+    fn restored_sessions_start_without_observers() {
+        let cfg = SystemConfig::tiny_test();
+        let reference = session(64).run_to_completion();
+        let samples = std::rc::Rc::new(std::cell::Cell::new(0usize));
+        let seen = samples.clone();
+        let mut probed = SimSession::builder(cfg, TestOrg::new(&cfg))
+            .streams(streams(64, 3))
+            .budget(2_000, 30_000)
+            .record_series(1_000)
+            .probe(Box::new(move |_: &PeriodSample| seen.set(seen.get() + 1)))
+            .build();
+        probed.run_until(10_000);
+        assert!(samples.get() > 0 && !probed.observers.probe_cores.is_empty());
+
+        let mut restored = probed.snapshot().unwrap().to_session().unwrap();
+        let o = &restored.observers;
+        assert!(o.probes.is_empty() && o.series.is_none() && o.fired_shifts.is_empty());
+        assert_eq!((o.probe_stride, o.next_probe_at), (0, 0));
+        assert!(o.probe_cores.is_empty());
+        assert_eq!(o.probe_l2, CacheStats::default());
+        assert_eq!(o.probe_counters, SimCounters::default());
+
+        let before = samples.get();
+        assert_eq!(restored.run_to_completion(), reference);
+        assert_eq!(samples.get(), before, "the probe stayed with the original");
+        assert!(restored.take_series().is_empty());
     }
 }

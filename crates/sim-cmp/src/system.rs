@@ -1,21 +1,10 @@
-//! The one-shot CMP driver — a thin wrapper over [`SimSession`].
-//!
-//! [`CmpSystem`] keeps the original run-to-completion entry point: wire
-//! an [`L2Org`] into the Table 4 platform and execute per-core
-//! [`OpStream`]s for a fixed warm-up + measurement window (the paper's
-//! methodology: all cores run the same simulated time and per-core IPC
-//! is measured over that window). All stepping, phase handling and
-//! result assembly live in [`crate::session`]; anything that needs to
-//! observe a run mid-flight — probes, snapshots, incremental stepping —
-//! should build a [`SimSession`] directly.
+//! What a measured run reports: per-core IPC over the paper's fixed
+//! warm-up + measurement window (all cores run the same simulated time)
+//! and the aggregate L2 statistics. [`crate::SimSession`] produces these.
 
-use crate::config::SystemConfig;
 use crate::core::CoreStats;
-use crate::scheme::L2Org;
-use crate::session::SimSession;
 use serde::{Deserialize, Serialize};
 use sim_cache::CacheStats;
-use sim_mem::OpStream;
 
 /// Result for one core after a measured run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -57,83 +46,14 @@ impl SystemResult {
     }
 }
 
-/// The CMP system: the legacy one-shot facade over a session.
-pub struct CmpSystem<O: L2Org> {
-    session: SimSession<O>,
-}
-
-impl<O: L2Org> CmpSystem<O> {
-    /// Build a system around an L2 organisation. Streams and the run
-    /// window are supplied to [`CmpSystem::run`].
-    pub fn new(cfg: SystemConfig, org: O) -> Self {
-        let streams: Vec<Box<dyn OpStream>> = (0..cfg.num_cores)
-            .map(|i| {
-                Box::new(sim_mem::VecStream::loads(format!("idle{i}"), [0u64], 0))
-                    as Box<dyn OpStream>
-            })
-            .collect();
-        CmpSystem {
-            session: SimSession::builder(cfg, org).streams(streams).build(),
-        }
-    }
-
-    /// Run: `warmup_cycles` of unmeasured execution, then
-    /// `measure_cycles` of measured execution — every core runs the
-    /// whole window (the paper's fixed-time methodology). Returns
-    /// per-core and aggregate results.
-    pub fn run(
-        &mut self,
-        streams: Vec<Box<dyn OpStream>>,
-        warmup_cycles: u64,
-        measure_cycles: u64,
-    ) -> SystemResult {
-        self.session.rearm(streams, warmup_cycles, measure_cycles);
-        self.session.run_to_completion()
-    }
-
-    /// The underlying session (for mid-run inspection from new code).
-    pub fn session(&self) -> &SimSession<O> {
-        &self.session
-    }
-
-    /// The L2 organisation (for post-run inspection).
-    pub fn org(&self) -> &O {
-        self.session.org()
-    }
-
-    /// System configuration.
-    pub fn config(&self) -> &SystemConfig {
-        self.session.config()
-    }
-
-    /// Bus statistics.
-    pub fn bus_stats(&self) -> crate::bus::BusStats {
-        self.session.bus_stats()
-    }
-
-    /// DRAM statistics.
-    pub fn dram_stats(&self) -> sim_mem::DramStats {
-        self.session.dram_stats()
-    }
-
-    /// The observability counters of the last run's measured window
-    /// (see [`SimSession::counters`]).
-    pub fn counters(&mut self) -> snug_metrics::SimCounters {
-        self.session.counters()
-    }
-
-    /// L1D statistics for one core.
-    pub fn l1d_stats(&self, core: usize) -> &CacheStats {
-        self.session.l1d_stats(core)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scheme::{ChipResources, L2Fill, L2Outcome};
+    use crate::config::SystemConfig;
+    use crate::scheme::{ChipResources, L2Fill, L2Org, L2Outcome};
+    use crate::session::SimSession;
     use sim_cache::SetAssocCache;
-    use sim_mem::{BlockAddr, VecStream};
+    use sim_mem::{BlockAddr, OpStream, VecStream};
 
     /// Minimal private-L2 organisation: every slice is an isolated cache
     /// backed by DRAM (no write buffer, no sharing). Enough to test the
@@ -216,6 +136,16 @@ mod tests {
         }
     }
 
+    /// One fixed-window run of `streams` on the tiny platform.
+    fn run(streams: Vec<Box<dyn OpStream>>, warmup: u64, measure: u64) -> SystemResult {
+        let cfg = SystemConfig::tiny_test();
+        SimSession::builder(cfg, TestOrg::new(&cfg))
+            .streams(streams)
+            .budget(warmup, measure)
+            .build()
+            .run_to_completion()
+    }
+
     fn small_loop_stream(label: &str, blocks: u64, gap: u32) -> Box<dyn OpStream> {
         let addrs: Vec<u64> = (0..blocks).map(|i| i * 64).collect();
         Box::new(VecStream::loads(label, addrs, gap))
@@ -223,13 +153,10 @@ mod tests {
 
     #[test]
     fn all_cores_complete_budget() {
-        let cfg = SystemConfig::tiny_test();
-        let org = TestOrg::new(&cfg);
-        let mut sys = CmpSystem::new(cfg, org);
         let streams: Vec<Box<dyn OpStream>> = (0..4)
             .map(|i| small_loop_stream(&format!("w{i}"), 4, 3))
             .collect();
-        let res = sys.run(streams, 500, 20_000);
+        let res = run(streams, 500, 20_000);
         for c in &res.cores {
             assert!(c.instructions > 0);
             assert!(c.cycles >= 19_000, "every core ran the full window");
@@ -240,7 +167,6 @@ mod tests {
 
     #[test]
     fn cache_friendly_workload_beats_thrashing() {
-        let cfg = SystemConfig::tiny_test();
         // Fits in L1 (4 sets × 2 ways = 8 blocks): near-peak IPC.
         let friendly: Vec<Box<dyn OpStream>> =
             (0..4).map(|_| small_loop_stream("fit", 4, 7)).collect();
@@ -249,10 +175,8 @@ mod tests {
             .map(|_| small_loop_stream("thrash", 4096, 7))
             .collect();
 
-        let mut sys_a = CmpSystem::new(cfg, TestOrg::new(&cfg));
-        let a = sys_a.run(friendly, 2_000, 50_000);
-        let mut sys_b = CmpSystem::new(cfg, TestOrg::new(&cfg));
-        let b = sys_b.run(thrash, 2_000, 50_000);
+        let a = run(friendly, 2_000, 50_000);
+        let b = run(thrash, 2_000, 50_000);
         assert!(
             a.throughput() > 3.0 * b.throughput(),
             "friendly {} vs thrash {}",
@@ -263,7 +187,6 @@ mod tests {
 
     #[test]
     fn stores_do_not_stall_cores() {
-        let cfg = SystemConfig::tiny_test();
         let addrs: Vec<u64> = (0..4096u64).map(|i| i * 64).collect();
         let load_streams: Vec<Box<dyn OpStream>> = (0..4)
             .map(|_| Box::new(VecStream::loads("ld", addrs.clone(), 3)) as Box<dyn OpStream>)
@@ -277,10 +200,8 @@ mod tests {
                 Box::new(VecStream::cycle("st", ops)) as Box<dyn OpStream>
             })
             .collect();
-        let mut sys_l = CmpSystem::new(cfg, TestOrg::new(&cfg));
-        let l = sys_l.run(load_streams, 2_000, 50_000);
-        let mut sys_s = CmpSystem::new(cfg, TestOrg::new(&cfg));
-        let s = sys_s.run(store_streams, 2_000, 50_000);
+        let l = run(load_streams, 2_000, 50_000);
+        let s = run(store_streams, 2_000, 50_000);
         assert!(
             s.throughput() > 2.0 * l.throughput(),
             "stores {} should vastly outpace loads {}",
@@ -291,12 +212,9 @@ mod tests {
 
     #[test]
     fn ipc_measured_after_warmup_only() {
-        let cfg = SystemConfig::tiny_test();
-        let org = TestOrg::new(&cfg);
-        let mut sys = CmpSystem::new(cfg, org);
         let streams: Vec<Box<dyn OpStream>> =
             (0..4).map(|_| small_loop_stream("fit", 4, 7)).collect();
-        let res = sys.run(streams, 5_000, 20_000);
+        let res = run(streams, 5_000, 20_000);
         // After warm-up the 4-block loop lives in L1: misses ≈ 0.
         assert_eq!(res.l2.misses, 0, "no L2 demand misses after warm-up");
         for c in &res.cores {

@@ -12,22 +12,29 @@
 //! cargo run --release --example stress_test -- parser
 //! ```
 
-use sim_cmp::{CmpSystem, SystemConfig};
+use sim_cmp::{L2Org, SimSession, SystemConfig};
 use sim_mem::OpStream;
 use snug_core::{SchemeSpec, Snug, SnugConfig};
 use snug_experiments::{CompareConfig, RunPlan};
 use snug_metrics::{IpcVector, MetricSet};
 use snug_workloads::Benchmark;
 
-fn run(bench: Benchmark, spec: &SchemeSpec, plan: &RunPlan) -> Vec<f64> {
+/// A fixed-window session of four copies of `bench` on the paper
+/// platform.
+fn session<O: L2Org>(bench: Benchmark, org: O, plan: &RunPlan) -> SimSession<O> {
     let system = SystemConfig::paper();
-    let org = spec.build(system);
-    let mut sys = CmpSystem::new(system, org);
     let streams: Vec<Box<dyn OpStream>> = (0..4)
         .map(|core| Box::new(bench.spec().stream(system.l2_slice, core)) as Box<dyn OpStream>)
         .collect();
-    sys.run(streams, plan.warmup_cycles, plan.measure_cycles())
-        .ipcs()
+    SimSession::builder(system, org)
+        .streams(streams)
+        .budget(plan.warmup_cycles, plan.measure_cycles())
+        .build()
+}
+
+fn run(bench: Benchmark, spec: &SchemeSpec, plan: &RunPlan) -> Vec<f64> {
+    let org = spec.build_any(SystemConfig::paper());
+    session(bench, org, plan).run_to_completion().ipcs()
 }
 
 fn main() {
@@ -77,11 +84,8 @@ fn main() {
 
     // Show the flipping machinery directly.
     let system = SystemConfig::paper();
-    let mut sys = CmpSystem::new(system, Snug::new(system, snug_on));
-    let streams: Vec<Box<dyn OpStream>> = (0..4)
-        .map(|core| Box::new(bench.spec().stream(system.l2_slice, core)) as Box<dyn OpStream>)
-        .collect();
-    sys.run(streams, plan.warmup_cycles, plan.measure_cycles());
+    let mut sys = session(bench, Snug::new(system, snug_on), &plan);
+    sys.run_to_completion();
     let ev = sys.org().events();
     println!("\nSNUG spill placement in the stress test:");
     println!("  same-index spills : {}", ev.spills_same_index);

@@ -2,8 +2,7 @@
 //!
 //! 1. any interleaving of `step()` / `run_until()` calls retires the
 //!    same operation sequence — and therefore the same measured result —
-//!    as one `run_to_completion()` (which is also what the legacy
-//!    `CmpSystem::run` wrapper drives);
+//!    as one `run_to_completion()`;
 //! 2. snapshot → restore → resume is bit-identical to the uninterrupted
 //!    run, however the original session continues afterwards;
 //! 3. a `Converged`-policy run stops at the same cycle and retires the
@@ -24,9 +23,9 @@
 //!    unchanged.
 
 use proptest::prelude::*;
-use sim_cmp::{CmpSystem, L2Org, RunPlan, SimSession, SystemConfig, SystemResult};
+use sim_cmp::{RunPlan, SimSession, SystemConfig, SystemResult};
 use sim_mem::{OpStream, ShiftDirective, StreamShift};
-use snug_core::{DsrConfig, SchemeSpec, SnugConfig};
+use snug_core::{AnyOrg, DsrConfig, SchemeSpec, SnugConfig};
 use snug_workloads::Benchmark;
 
 const WARMUP: u64 = 3_000;
@@ -71,9 +70,9 @@ fn streams(cfg: &SystemConfig) -> Vec<Box<dyn OpStream>> {
     .collect()
 }
 
-fn session(spec: &SchemeSpec) -> SimSession<Box<dyn L2Org>> {
+fn session(spec: &SchemeSpec) -> SimSession<AnyOrg> {
     let cfg = SystemConfig::tiny_test();
-    SimSession::builder(cfg, spec.build(cfg))
+    SimSession::builder(cfg, spec.build_any(cfg))
         .streams(streams(&cfg))
         .budget(WARMUP, MEASURE)
         .build()
@@ -90,9 +89,9 @@ fn converged_plan() -> RunPlan {
     RunPlan::fixed(WARMUP, MEASURE).until_converged(2_000, 0.5)
 }
 
-fn converged_session(spec: &SchemeSpec) -> SimSession<Box<dyn L2Org>> {
+fn converged_session(spec: &SchemeSpec) -> SimSession<AnyOrg> {
     let cfg = SystemConfig::tiny_test();
-    SimSession::builder(cfg, spec.build(cfg))
+    SimSession::builder(cfg, spec.build_any(cfg))
         .streams(streams(&cfg))
         .plan(converged_plan())
         .build()
@@ -112,9 +111,9 @@ fn shifts() -> Vec<StreamShift> {
     ]
 }
 
-fn shifted_session(spec: &SchemeSpec) -> SimSession<Box<dyn L2Org>> {
+fn shifted_session(spec: &SchemeSpec) -> SimSession<AnyOrg> {
     let cfg = SystemConfig::tiny_test();
-    SimSession::builder(cfg, spec.build(cfg))
+    SimSession::builder(cfg, spec.build_any(cfg))
         .streams(streams(&cfg))
         .budget(WARMUP, MEASURE)
         .phase_shifts(shifts())
@@ -123,9 +122,9 @@ fn shifted_session(spec: &SchemeSpec) -> SimSession<Box<dyn L2Org>> {
 
 /// A reconverged plan over the shifted workload: generous epsilon so
 /// every scheme's streams re-stabilise inside the tiny window.
-fn reconverged_session(spec: &SchemeSpec) -> SimSession<Box<dyn L2Org>> {
+fn reconverged_session(spec: &SchemeSpec) -> SimSession<AnyOrg> {
     let cfg = SystemConfig::tiny_test();
-    SimSession::builder(cfg, spec.build(cfg))
+    SimSession::builder(cfg, spec.build_any(cfg))
         .streams(streams(&cfg))
         .plan(RunPlan::fixed(WARMUP, MEASURE).until_reconverged(2_000, 0.6))
         .phase_shifts(shifts())
@@ -164,17 +163,17 @@ fn streams_8core(cfg: &SystemConfig) -> Vec<Box<dyn OpStream>> {
     .collect()
 }
 
-fn session_8core(spec: &SchemeSpec) -> SimSession<Box<dyn L2Org>> {
+fn session_8core(spec: &SchemeSpec) -> SimSession<AnyOrg> {
     let cfg = cfg_8core();
-    SimSession::builder(cfg, spec.build(cfg))
+    SimSession::builder(cfg, spec.build_any(cfg))
         .streams(streams_8core(&cfg))
         .budget(WARMUP, MEASURE)
         .build()
 }
 
-fn converged_session_8core(spec: &SchemeSpec) -> SimSession<Box<dyn L2Org>> {
+fn converged_session_8core(spec: &SchemeSpec) -> SimSession<AnyOrg> {
     let cfg = cfg_8core();
-    SimSession::builder(cfg, spec.build(cfg))
+    SimSession::builder(cfg, spec.build_any(cfg))
         .streams(streams_8core(&cfg))
         .plan(converged_plan())
         .build()
@@ -245,16 +244,6 @@ fn converged_policy_stops_every_scheme_early() {
         assert!(stop < s.horizon(), "{spec}: stop {stop}");
         assert!(stop >= WARMUP + 4 * 2_000, "{spec}: full window first");
         assert!(result.throughput() > 0.0, "{spec}");
-    }
-}
-
-#[test]
-fn one_shot_wrapper_equals_session_for_every_scheme() {
-    for spec in schemes() {
-        let cfg = SystemConfig::tiny_test();
-        let mut sys = CmpSystem::new(cfg, spec.build(cfg));
-        let wrapper = sys.run(streams(&cfg), WARMUP, MEASURE);
-        assert_eq!(wrapper, reference(&spec), "{spec}");
     }
 }
 
