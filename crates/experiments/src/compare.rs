@@ -672,8 +672,8 @@ pub fn run_cc_points_shared_phased(
 /// throughput)` sweep: the *first* maximum by throughput, §4.1's "the
 /// spill-probability that produces the best performance is selected as
 /// CC (Best)". This is the single definition of the tie-break rule —
-/// result assembly, store migration and reporting must all agree on it
-/// or cached and fresh results diverge.
+/// result assembly and reporting must agree on it or cached and fresh
+/// results diverge.
 pub fn best_cc_index(cc_sweep: &[(f64, f64)]) -> Option<usize> {
     cc_sweep
         .iter()

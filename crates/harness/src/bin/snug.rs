@@ -88,18 +88,19 @@ USAGE:
   snug bench        [kernel|sweep|micro]... [--emit|--check]
   snug characterize [--bench NAME[,NAME]...] [--intervals N] [--accesses N] [--out DIR]
 
-Budget flags (shared by sweep/compare/report; trace takes the fixed
-subset): --quick | --mid | --eval | --warmup N --measure N pick the run
-budget, and --until-converged [--rel-eps E] [--window N] swaps the fixed
-window for convergence-based early exit: each combo's L2P baseline stops
-at the first window boundary where its last four window throughputs
-agree to within E (default 0.02), and every other scheme measures over
-that same window — never past the budget ceiling. Converged runs are
+Budget flags (shared by sweep/compare/report; trace, profile and
+report --experiments-md take the fixed subset): --quick | --mid | --eval
+| --warmup N --measure N pick the run budget, and --until-converged
+[--rel-eps E] [--window N] swaps the fixed window for convergence-based
+early exit: each combo's L2P baseline stops at the first window boundary
+where its last four window throughputs agree to within E (default 0.02),
+and every other scheme measures over that same window — never past the
+budget ceiling. Converged runs are
 keyed separately from the canonical fixed-budget entries, and every
 early-exit-capable run persists an explicit stop_reason
 (converged/ceiling), so runs that never stabilised inside the budget are
-never mistaken for plateau measurements. Subcommands reject flags they
-would otherwise silently ignore.
+never mistaken for plateau measurements. Each subcommand accepts only
+the flags it uses; any other flag is an error that names it.
 
 Phase-change scenarios: --phase-shift SPEC re-parameterises the per-core
 synthetic streams mid-run at scheduled cycles. SPEC is
@@ -162,9 +163,35 @@ throughput on its completion line; every sweep ends with a telemetry
 footer (total simulation wall time, sim-cycles/s, ops/s) aggregated
 from the spans persisted in the store.";
 
+/// The fixed-budget half of the budget flag family: the run budget
+/// alone. `trace`, `profile` and `report --experiments-md` take only
+/// this half.
+const FIXED_BUDGET: &[&str] = &["--quick", "--mid", "--eval", "--warmup", "--measure"];
+
+/// The convergence half of the budget flag family: swaps the fixed
+/// window for early exit. `sweep`, `compare` and `report` take it.
+const CONVERGENCE: &[&str] = &[
+    "--until-converged",
+    "--until-reconverged",
+    "--rel-eps",
+    "--window",
+];
+
+/// What selects a sweep spec, shared by `sweep`, `compare` and `report`.
+const SELECTION: &[&str] = &[
+    "--class",
+    "--spec",
+    "--shared-warmup",
+    "--phase-shift",
+    "--results",
+];
+
+/// The flags of `report`'s two committed-document modes, besides the
+/// mode flag itself.
+const DOCUMENT: &[&str] = &["--check", "--md-path", "--results"];
+
 /// The budget/stop flag family — one parser and one defaulting rule
-/// shared by `sweep`, `compare`, `report` and `trace`, and rejected
-/// wholesale by subcommands that would otherwise silently ignore it.
+/// shared by every subcommand that simulates.
 #[derive(Default)]
 struct BudgetFlags {
     /// `None` means "not given": each command picks its default
@@ -207,12 +234,7 @@ impl BudgetFlags {
         self.preset.is_some()
             || self.warmup.is_some()
             || self.measure.is_some()
-            || self.any_convergence_given()
-    }
-
-    /// Whether any of the convergence flags was given.
-    fn any_convergence_given(&self) -> bool {
-        self.until_converged
+            || self.until_converged
             || self.until_reconverged
             || self.rel_eps.is_some()
             || self.window.is_some()
@@ -259,34 +281,10 @@ impl BudgetFlags {
             })
         }
     }
-
-    /// Reject the whole family on a subcommand that ignores it
-    /// (mirroring `reject_experiments_md_flags`).
-    fn reject(&self, command: &str) -> Result<(), String> {
-        if self.any_given() {
-            return Err(format!(
-                "budget flags (--quick/--mid/--eval/--warmup/--measure/--until-converged/\
-                 --until-reconverged/--rel-eps/--window) do not apply to `snug {command}`"
-            ));
-        }
-        Ok(())
-    }
-
-    /// Reject only the convergence flags (for `trace`, which takes the
-    /// fixed budget subset, and `--experiments-md`, which documents the
-    /// canonical fixed-budget runs).
-    fn reject_convergence(&self, command: &str) -> Result<(), String> {
-        if self.any_convergence_given() {
-            return Err(format!(
-                "--until-converged/--until-reconverged/--rel-eps/--window do not apply to \
-                 `snug {command}`"
-            ));
-        }
-        Ok(())
-    }
 }
 
-/// Flag parsing shared by the subcommands.
+/// Flag parsing shared by the subcommands. Each subcommand passes the
+/// flags it accepts, so a flag it would ignore is an error instead.
 struct Flags {
     classes: Vec<ComboClass>,
     spec_file: Option<PathBuf>,
@@ -300,8 +298,6 @@ struct Flags {
     benches: Vec<Benchmark>,
     intervals: usize,
     accesses: usize,
-    experiments_md: bool,
-    experiments_eval_md: bool,
     check: bool,
     /// `None` means "not given": each document command falls back to
     /// its own committed default path.
@@ -313,7 +309,9 @@ struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Flags, String> {
+    /// Parse `args` for `snug {command}`, which accepts exactly the
+    /// flags in `accepted`.
+    fn parse(args: &[String], command: &str, accepted: &[&[&str]]) -> Result<Flags, String> {
         let mut f = Flags {
             classes: Vec::new(),
             spec_file: None,
@@ -327,8 +325,6 @@ impl Flags {
             benches: Vec::new(),
             intervals: 20,
             accesses: 50_000,
-            experiments_md: false,
-            experiments_eval_md: false,
             check: false,
             md_path: None,
             shared_warmup: false,
@@ -338,6 +334,11 @@ impl Flags {
         };
         let mut it = args.iter();
         while let Some(arg) = it.next() {
+            if !accepted.iter().any(|set| set.contains(&arg.as_str())) {
+                return Err(format!(
+                    "`snug {command}` does not take `{arg}` (see `snug help`)"
+                ));
+            }
             let mut value = |flag: &str| {
                 it.next()
                     .map(|s| s.to_string())
@@ -347,8 +348,8 @@ impl Flags {
                 continue;
             }
             match arg.as_str() {
-                "--experiments-md" => f.experiments_md = true,
-                "--experiments-eval-md" => f.experiments_eval_md = true,
+                // `report` picks its document mode before parsing.
+                "--experiments-md" | "--experiments-eval-md" => {}
                 "--check" => f.check = true,
                 "--md-path" => f.md_path = Some(PathBuf::from(value("--md-path")?)),
                 "--class" => {
@@ -392,48 +393,6 @@ impl Flags {
 
     fn spec(&self) -> Result<SweepSpec, String> {
         self.spec_with_default(BudgetPreset::Quick)
-    }
-
-    /// Reject the `--experiments-md` flag family on subcommands that
-    /// would silently ignore it (a typo'd `sweep --check` must not look
-    /// like the staleness gate ran).
-    fn reject_experiments_md_flags(&self, command: &str) -> Result<(), String> {
-        if self.experiments_md || self.experiments_eval_md || self.check || self.md_path.is_some() {
-            return Err(format!(
-                "--experiments-md/--experiments-eval-md/--check/--md-path only apply to \
-                 `snug report`, not `snug {command}`"
-            ));
-        }
-        Ok(())
-    }
-
-    /// Reject `--verbose` outside `snug sweep` (same pattern).
-    fn reject_verbose(&self, command: &str) -> Result<(), String> {
-        if self.verbose {
-            return Err(format!(
-                "--verbose only applies to `snug sweep`, not `snug {command}`"
-            ));
-        }
-        Ok(())
-    }
-
-    /// Reject `--stride` outside `snug trace` (same pattern).
-    fn reject_stride(&self, command: &str) -> Result<(), String> {
-        if self.stride.is_some() {
-            return Err(format!(
-                "--stride only applies to `snug trace`, not `snug {command}`"
-            ));
-        }
-        Ok(())
-    }
-
-    /// Reject `--phase-shift` on subcommands whose workload is not
-    /// simulated (same pattern).
-    fn reject_phase_shift(&self, command: &str) -> Result<(), String> {
-        if !self.phase_shift.is_empty() {
-            return Err(format!("--phase-shift does not apply to `snug {command}`"));
-        }
-        Ok(())
     }
 
     /// The canonical phase schedule of the `--phase-shift` flags
@@ -546,9 +505,16 @@ fn check_spec_phase_schedule(spec: &SweepSpec) -> Result<(), String> {
 }
 
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
-    flags.reject_experiments_md_flags("sweep")?;
-    flags.reject_stride("sweep")?;
+    let flags = Flags::parse(
+        args,
+        "sweep",
+        &[
+            SELECTION,
+            FIXED_BUDGET,
+            CONVERGENCE,
+            &["--name", "--jobs", "--verbose"],
+        ],
+    )?;
     let spec = flags.spec()?;
     check_spec_phase_schedule(&spec)?;
     let mut store = ResultStore::open(&flags.results_dir).map_err(|e| e.to_string())?;
@@ -566,18 +532,9 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let verbose = flags.verbose;
     let mut spans: Vec<UnitSpan> = Vec::new();
     let outcome = run_sweep(&spec, &mut store, flags.jobs, |event| match event {
-        SweepEvent::Planned {
-            total,
-            hits,
-            migrated,
-        } => {
-            let migrated_note = if migrated > 0 {
-                format!(" ({migrated} migrated from v1)")
-            } else {
-                String::new()
-            };
+        SweepEvent::Planned { total, hits } => {
             println!(
-                "sweep `{}` ({}): {total} unit jobs, {hits} cache hits{migrated_note}, {} to run",
+                "sweep `{}` ({}): {total} unit jobs, {hits} cache hits, {} to run",
                 spec.name,
                 spec.budget_label(),
                 total - hits
@@ -672,24 +629,31 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_report(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
-    flags.reject_stride("report")?;
-    flags.reject_verbose("report")?;
-    if flags.experiments_md && flags.experiments_eval_md {
-        return Err("--experiments-md and --experiments-eval-md are mutually exclusive".into());
+    // The document mode decides which flags apply, so it is picked
+    // before parsing; the other mode's flag is then foreign.
+    let given = |flag: &str| args.iter().any(|a| a == flag);
+    if given("--experiments-md") {
+        let accepted: &[&[&str]] = &[&["--experiments-md"], DOCUMENT, FIXED_BUDGET];
+        return cmd_experiments_md(&Flags::parse(args, "report --experiments-md", accepted)?);
     }
-    if flags.experiments_md {
-        return cmd_experiments_md(&flags);
+    if given("--experiments-eval-md") {
+        let accepted: &[&[&str]] = &[&["--experiments-eval-md"], DOCUMENT];
+        return cmd_experiments_eval_md(&Flags::parse(
+            args,
+            "report --experiments-eval-md",
+            accepted,
+        )?);
     }
-    if flags.experiments_eval_md {
-        return cmd_experiments_eval_md(&flags);
-    }
-    if flags.check {
-        return Err("--check only applies to --experiments-md/--experiments-eval-md".into());
-    }
-    if flags.md_path.is_some() {
-        return Err("--md-path only applies to --experiments-md/--experiments-eval-md".into());
-    }
+    let flags = Flags::parse(
+        args,
+        "report",
+        &[
+            SELECTION,
+            FIXED_BUDGET,
+            CONVERGENCE,
+            &["--name", "--out", "--format"],
+        ],
+    )?;
     let spec = flags.spec()?;
     check_spec_phase_schedule(&spec)?;
     let store = ResultStore::open(&flags.results_dir).map_err(|e| e.to_string())?;
@@ -732,35 +696,12 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
 /// `snug report --experiments-md [--check] [--md-path FILE]`: render
 /// the full evaluation (budget defaults to `--mid`, always all 21
 /// combos) from the store into the committed EXPERIMENTS.md, or verify
-/// it.
+/// it. The document is *defined* as the full 21-combo evaluation over
+/// the canonical fixed-budget, stationary, per-point entries, so the
+/// mode takes no selection, convergence, phase-shift or shared-warm-up
+/// flag: a narrowed variant would overwrite the committed file with a
+/// partial document and break the staleness gate.
 fn cmd_experiments_md(flags: &Flags) -> Result<(), String> {
-    // The document is *defined* as the full 21-combo evaluation: a
-    // narrowed or redirected variant would overwrite the committed file
-    // with a partial document and break the staleness gate.
-    if !flags.classes.is_empty() || flags.name.is_some() || flags.spec_file.is_some() {
-        return Err(
-            "--experiments-md renders the full evaluation; it cannot be combined \
-                    with --class/--name/--spec"
-                .into(),
-        );
-    }
-    if flags.shared_warmup {
-        return Err(
-            "--experiments-md documents the canonical per-point runs; --shared-warmup \
-             results live under their own keys and are not part of it"
-                .into(),
-        );
-    }
-    // Converged and shifted runs are likewise keyed separately — the
-    // committed document is defined over the canonical fixed-budget,
-    // stationary-workload entries.
-    flags.budget.reject_convergence("report --experiments-md")?;
-    flags.reject_phase_shift("report --experiments-md")?;
-    if flags.out_dir.is_some() || flags.format.is_some() {
-        return Err(
-            "--experiments-md writes Markdown to --md-path; --out/--format do not apply".into(),
-        );
-    }
     let spec = flags.spec_with_default(BudgetPreset::Mid)?;
     let store = ResultStore::open(&flags.results_dir).map_err(|e| e.to_string())?;
     let results = cached_results(&spec, &store).ok_or_else(|| {
@@ -799,37 +740,6 @@ fn cmd_experiments_md(flags: &Flags) -> Result<(), String> {
 /// with the Fig. 9 SNUG-vs-CC(Best) verdict — or verify it. The spec is
 /// pinned ([`eval_converged_spec`]); no selection or budget flags apply.
 fn cmd_experiments_eval_md(flags: &Flags) -> Result<(), String> {
-    if !flags.classes.is_empty() || flags.name.is_some() || flags.spec_file.is_some() {
-        return Err(
-            "--experiments-eval-md renders the full eval evaluation; it cannot be combined \
-             with --class/--name/--spec"
-                .into(),
-        );
-    }
-    if flags.shared_warmup {
-        return Err(
-            "--experiments-eval-md documents the canonical per-point runs; --shared-warmup \
-             results live under their own keys and are not part of it"
-                .into(),
-        );
-    }
-    // The document is defined over one pinned spec — eval budget,
-    // calibrated convergence window/epsilon — so the whole budget flag
-    // family is rejected rather than silently overridden.
-    if flags.budget.any_given() {
-        return Err(format!(
-            "--experiments-eval-md pins the eval converged spec (--eval --until-converged \
-             --window {EVAL_CONVERGED_WINDOW} --rel-eps {EVAL_CONVERGED_REL_EPSILON}); \
-             budget flags cannot be combined with it"
-        ));
-    }
-    flags.reject_phase_shift("report --experiments-eval-md")?;
-    if flags.out_dir.is_some() || flags.format.is_some() {
-        return Err(
-            "--experiments-eval-md writes Markdown to --md-path; --out/--format do not apply"
-                .into(),
-        );
-    }
     let spec = eval_converged_spec();
     let store = ResultStore::open(&flags.results_dir).map_err(|e| e.to_string())?;
     let results = cached_results(&spec, &store).ok_or_else(|| {
@@ -899,10 +809,11 @@ fn write_or_check_doc(
 }
 
 fn cmd_compare(args: &[String]) -> Result<(), String> {
-    let flags = Flags::parse(args)?;
-    flags.reject_experiments_md_flags("compare")?;
-    flags.reject_stride("compare")?;
-    flags.reject_verbose("compare")?;
+    let flags = Flags::parse(
+        args,
+        "compare",
+        &[SELECTION, FIXED_BUDGET, CONVERGENCE, &["--combo", "--jobs"]],
+    )?;
     let mut spec = flags.spec()?;
     if let Some(label) = &flags.combo {
         let all = all_combos();
@@ -964,16 +875,16 @@ fn cmd_trace(args: &[String]) -> Result<(), String> {
                     `snug trace ammp+ammp+ammp+ammp snug`)"
             .into());
     };
-    let flags = Flags::parse(&args[positional.len()..])?;
-    flags.reject_experiments_md_flags("trace")?;
-    flags.reject_verbose("trace")?;
     // Traces record the full fixed window (the point is seeing the
-    // whole time series), so the convergence flags are rejected rather
-    // than silently ignored.
-    flags.budget.reject_convergence("trace")?;
-    if flags.shared_warmup {
-        return Err("--shared-warmup does not apply to `snug trace`".into());
-    }
+    // whole time series), so the convergence flags do not apply.
+    let flags = Flags::parse(
+        &args[positional.len()..],
+        "trace",
+        &[
+            FIXED_BUDGET,
+            &["--stride", "--phase-shift", "--results", "--format"],
+        ],
+    )?;
 
     let all = all_combos();
     let combo = all
@@ -1078,15 +989,11 @@ fn cmd_profile(args: &[String]) -> Result<(), String> {
                     `snug profile ammp+ammp+ammp+ammp snug`)"
             .into());
     };
-    let flags = Flags::parse(&args[positional.len()..])?;
-    flags.reject_experiments_md_flags("profile")?;
-    flags.budget.reject_convergence("profile")?;
-    flags.reject_stride("profile")?;
-    flags.reject_phase_shift("profile")?;
-    flags.reject_verbose("profile")?;
-    if flags.shared_warmup {
-        return Err("--shared-warmup does not apply to `snug profile`".into());
-    }
+    let flags = Flags::parse(
+        &args[positional.len()..],
+        "profile",
+        &[FIXED_BUDGET, &["--format"]],
+    )?;
 
     let all = all_combos();
     let combo = all
@@ -1181,12 +1088,7 @@ fn cmd_store(args: &[String]) -> Result<(), String> {
     };
     match sub {
         "gc" => {
-            let flags = Flags::parse(rest)?;
-            flags.reject_experiments_md_flags("store gc")?;
-            flags.budget.reject("store gc")?;
-            flags.reject_stride("store gc")?;
-            flags.reject_phase_shift("store gc")?;
-            flags.reject_verbose("store gc")?;
+            let flags = Flags::parse(rest, "store gc", &[&["--results"]])?;
             let mut store = ResultStore::open(&flags.results_dir).map_err(|e| e.to_string())?;
             let before = store.file_lines();
             let (kept, dropped) = store.compact().map_err(|e| e.to_string())?;
@@ -1208,12 +1110,7 @@ fn cmd_store(args: &[String]) -> Result<(), String> {
                         .into(),
                 );
             }
-            let flags = Flags::parse(&rest[shards.len()..])?;
-            flags.reject_experiments_md_flags("store merge")?;
-            flags.budget.reject("store merge")?;
-            flags.reject_stride("store merge")?;
-            flags.reject_phase_shift("store merge")?;
-            flags.reject_verbose("store merge")?;
+            let flags = Flags::parse(&rest[shards.len()..], "store merge", &[&["--results"]])?;
             let mut store = ResultStore::open(&flags.results_dir).map_err(|e| e.to_string())?;
             for shard in &shards {
                 let stats = store
@@ -1244,14 +1141,13 @@ fn cmd_store(args: &[String]) -> Result<(), String> {
 
 fn cmd_characterize(args: &[String]) -> Result<(), String> {
     use snug_experiments::{characterize, CharacterizeConfig};
-    let flags = Flags::parse(args)?;
-    flags.reject_experiments_md_flags("characterize")?;
     // Characterisation has its own interval/access sizing; the sweep
-    // budget family would be silently ignored, so reject it.
-    flags.budget.reject("characterize")?;
-    flags.reject_stride("characterize")?;
-    flags.reject_phase_shift("characterize")?;
-    flags.reject_verbose("characterize")?;
+    // budget family does not apply.
+    let flags = Flags::parse(
+        args,
+        "characterize",
+        &[&["--bench", "--intervals", "--accesses", "--out"]],
+    )?;
     let benches = if flags.benches.is_empty() {
         vec![Benchmark::Ammp, Benchmark::Vortex, Benchmark::Applu]
     } else {

@@ -22,12 +22,6 @@ use snug_workloads::{all_combos, Combo, ComboClass, PhaseSchedule};
 /// the inputs that simulation depends on; see [`unit_key`].
 pub const SCHEMA_VERSION: &str = "snug-harness/v2";
 
-/// The v1 key prefix. v1 keys addressed a whole (combo, config) five-
-/// scheme comparison; [`legacy_combo_key`] still computes them so sweeps
-/// can migrate v1 store entries into v2 unit entries (see
-/// `sweep::run_sweep`).
-pub const SCHEMA_VERSION_V1: &str = "snug-harness/v1";
-
 /// Which run budget (and matching SNUG stage lengths) a sweep uses.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum BudgetPreset {
@@ -560,23 +554,6 @@ pub fn trace_key(
     ))
 }
 
-/// The v1 content key of a whole (combo, config) five-scheme
-/// comparison. New code never writes entries under these keys; sweeps
-/// compute them to find v1 store entries worth migrating. The v1-era
-/// `CompareConfig` debug string (with its `budget: RunBudget { … }`
-/// field) is reconstructed from the plan fingerprint so genuinely old
-/// stores keep migrating across the plan refactor; converged plans
-/// never had v1 entries, so their synthetic keys simply never match.
-pub fn legacy_combo_key(combo: &Combo, config: &CompareConfig) -> String {
-    content_key(&format!(
-        "{SCHEMA_VERSION_V1}|{combo:?}|CompareConfig {{ system: {:?}, budget: {}, snug: {:?}, dsr: {:?} }}",
-        config.system,
-        config.plan.fingerprint(),
-        config.snug,
-        config.dsr,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -697,17 +674,6 @@ mod tests {
                 trace_key(&combo, &point, &cfg, 50_000, Some(&sched)),
                 "the phase schedule is part of the trace key"
             );
-        }
-    }
-
-    #[test]
-    fn legacy_keys_are_stable_and_distinct_from_unit_keys() {
-        let combo = all_combos()[0];
-        let cfg = BudgetPreset::Quick.compare_config();
-        let legacy = legacy_combo_key(&combo, &cfg);
-        assert_eq!(legacy, legacy_combo_key(&combo, &cfg));
-        for point in SchemePoint::all() {
-            assert_ne!(legacy, unit_key(&combo, &point, &cfg));
         }
     }
 

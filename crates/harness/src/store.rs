@@ -9,35 +9,34 @@
 //!
 //! ## Files
 //!
-//! * [`STORE_FILE`] (`store.jsonl`) — the deterministic truth: unit,
-//!   series and legacy combo entries. Byte-identical for `--jobs 1` and
-//!   `--jobs N` sweeps, because sweeps merge results into it in job
-//!   order at sweep end.
+//! * [`STORE_FILE`] (`store.jsonl`) — the deterministic truth: unit and
+//!   series entries. Byte-identical for `--jobs 1` and `--jobs N`
+//!   sweeps, because sweeps merge results into it in job order at sweep
+//!   end.
 //! * [`SPANS_FILE`] (`spans.jsonl`) — wall-clock execution telemetry
 //!   ([`UnitSpan`]), kept out of `store.jsonl` precisely because wall
-//!   time is *not* deterministic. Span entries found in a legacy
-//!   `store.jsonl` still decode; [`ResultStore::compact`] migrates them
-//!   to the sidecar.
+//!   time is *not* deterministic. Every file is routed by record kind,
+//!   so [`ResultStore::compact`] moves a span found in `store.jsonl` to
+//!   the sidecar.
 //! * [`SHARDS_DIR`]`/worker-N.jsonl` — per-worker append-only shards a
 //!   running sweep writes for crash durability; merged into the main
 //!   store and deleted at sweep end. Leftover shards (a killed sweep)
 //!   are recovered through [`ResultStore::recover_shards`] under the
 //!   usual merge semantics.
 //!
-//! ## Key-schema versions
+//! ## Record kinds
 //!
-//! * **v2** (current, [`crate::spec::SCHEMA_VERSION`]) — one line per
-//!   *(combo, scheme point)* simulation, value a
-//!   [`snug_experiments::SchemeRun`] under the `"unit"` field.
-//! * **v1** (legacy) — one line per whole (combo, config) five-scheme
-//!   comparison, value a [`ComboResult`] under the `"result"` field.
-//!   v1 lines are still decoded so sweeps can migrate them (see
-//!   `sweep::run_sweep`); new code never writes them.
+//! Every line is `{"key", "inputs", <kind>}` with exactly one of three
+//! kinds: `"unit"` (one *(combo, scheme point)* simulation, a
+//! [`snug_experiments::SchemeRun`], keyed under
+//! [`crate::spec::SCHEMA_VERSION`]), `"series"` (a recorded
+//! [`snug_experiments::TraceSeries`]) or `"span"` (a [`UnitSpan`]). A
+//! line with none of them is corrupt.
 
 use crate::codec::JsonCodec;
 use crate::json::{parse, JsonError, Value};
 use crate::sweep::UnitSpan;
-use snug_experiments::{ComboResult, SchemeRun, TraceSeries};
+use snug_experiments::{SchemeRun, TraceSeries};
 use std::collections::BTreeMap;
 use std::fs;
 use std::io::Write as _;
@@ -55,18 +54,16 @@ pub const SPANS_FILE: &str = "spans.jsonl";
 /// shard files of an in-flight sweep.
 pub const SHARDS_DIR: &str = "shards";
 
-/// What a store entry holds: the unit of the current schema, a recorded
-/// probe time series, or a whole combo result from a v1 store.
+/// What a store entry holds: a unit simulation, a recorded probe time
+/// series, or a sweep piece's execution span.
 #[derive(Debug, Clone, PartialEq)]
 pub enum StoredResult {
-    /// v2: one (combo, scheme point) simulation.
+    /// One (combo, scheme point) simulation.
     Unit(SchemeRun),
-    /// v2: a recorded per-period time series (`snug trace`).
+    /// A recorded per-period time series (`snug trace`).
     Series(TraceSeries),
-    /// v2: wall-clock telemetry for one executed sweep piece.
+    /// Wall-clock telemetry for one executed sweep piece.
     Span(UnitSpan),
-    /// v1 legacy: a whole assembled five-scheme comparison.
-    Combo(ComboResult),
 }
 
 /// One stored line: the key, a little human-readable context, and the
@@ -88,7 +85,6 @@ impl StoreEntry {
             StoredResult::Unit(run) => ("unit", run.to_json()),
             StoredResult::Series(series) => ("series", series.to_json()),
             StoredResult::Span(span) => ("span", span.to_json()),
-            StoredResult::Combo(result) => ("result", result.to_json()),
         };
         Value::obj(vec![
             ("key", Value::str(&self.key)),
@@ -105,7 +101,9 @@ impl StoreEntry {
         } else if let Ok(span) = v.get("span") {
             StoredResult::Span(UnitSpan::from_json(span)?)
         } else {
-            StoredResult::Combo(ComboResult::from_json(v.get("result")?)?)
+            return Err(JsonError(
+                "store record has none of the kinds `unit`, `series`, `span`".into(),
+            ));
         };
         Ok(StoreEntry {
             key: v.get("key")?.as_str()?.to_string(),
@@ -122,11 +120,31 @@ impl StoreEntry {
     }
 }
 
+/// Decode line `lineno` (0-based) of `lines`, read from `path`.
+/// `Ok(None)` marks a torn tail: the last line, failing to parse as
+/// JSON, which is what a crash or full disk mid-append leaves. A line
+/// that parses but does not decode is corrupt wherever it sits: it is a
+/// complete record the store cannot read, and dropping it would lose
+/// data silently.
+fn decode_line(
+    path: &Path,
+    lines: &[&str],
+    lineno: usize,
+) -> Result<Option<StoreEntry>, StoreError> {
+    match parse(lines[lineno]) {
+        Ok(v) => StoreEntry::from_json(&v)
+            .map(Some)
+            .map_err(|e| StoreError::corrupt(path, lineno, e)),
+        Err(_) if lineno + 1 == lines.len() => Ok(None),
+        Err(e) => Err(StoreError::corrupt(path, lineno, e)),
+    }
+}
+
 /// Load one JSONL file of store entries into `entries`, returning the
-/// number of intact data lines. A partial trailing line (crash or full
-/// disk during append) is dropped and truncated so the next append
-/// starts on a clean line; corruption anywhere else stays fatal. A
-/// missing file is an empty store.
+/// number of intact data lines. A torn trailing line (see
+/// [`decode_line`]) is dropped and truncated so the next append starts
+/// on a clean line; any other bad line is fatal. A missing file is an
+/// empty store.
 fn load_jsonl(
     path: &Path,
     entries: &mut BTreeMap<String, StoreEntry>,
@@ -142,23 +160,16 @@ fn load_jsonl(
                 if line.trim().is_empty() {
                     continue;
                 }
-                match parse(line).and_then(|v| StoreEntry::from_json(&v)) {
-                    Ok(entry) => {
-                        entries.insert(entry.key.clone(), entry);
-                        file_lines += 1;
-                    }
-                    Err(_) if lineno + 1 == lines.len() => {
-                        fs::OpenOptions::new()
-                            .write(true)
-                            .open(path)
-                            .and_then(|f| f.set_len(line_start))
-                            .map_err(|e| {
-                                StoreError::Io(path.display().to_string(), e.to_string())
-                            })?;
-                        break;
-                    }
-                    Err(e) => return Err(StoreError::corrupt(path, lineno, e)),
-                }
+                let Some(entry) = decode_line(path, &lines, lineno)? else {
+                    fs::OpenOptions::new()
+                        .write(true)
+                        .open(path)
+                        .and_then(|f| f.set_len(line_start))
+                        .map_err(|e| StoreError::Io(path.display().to_string(), e.to_string()))?;
+                    break;
+                };
+                entries.insert(entry.key.clone(), entry);
+                file_lines += 1;
             }
         }
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
@@ -265,18 +276,10 @@ impl ResultStore {
         self.entries.get(key).map(|e| &e.result)
     }
 
-    /// Look up a v2 unit result by content key.
+    /// Look up a unit result by content key.
     pub fn get_unit(&self, key: &str) -> Option<&SchemeRun> {
         match self.get(key) {
             Some(StoredResult::Unit(run)) => Some(run),
-            _ => None,
-        }
-    }
-
-    /// Look up a v1 legacy combo result by content key.
-    pub fn get_legacy_combo(&self, key: &str) -> Option<&ComboResult> {
-        match self.get(key) {
-            Some(StoredResult::Combo(result)) => Some(result),
             _ => None,
         }
     }
@@ -320,8 +323,7 @@ impl ResultStore {
     /// — on load, later lines supersede earlier ones — so compaction
     /// writes it back in key order through a temporary file and an
     /// atomic rename. Span entries are written to the `spans.jsonl`
-    /// sidecar (migrating any that a legacy `store.jsonl` still holds
-    /// inline). Idempotent: a second pass drops nothing. Returns
+    /// sidecar, wherever they were read from. Idempotent: a second pass drops nothing. Returns
     /// `(kept, dropped)` line counts.
     pub fn compact(&mut self) -> Result<(usize, usize), StoreError> {
         let kept = self.entries.len();
@@ -360,19 +362,11 @@ impl ResultStore {
         Ok((kept, dropped))
     }
 
-    /// Number of v2 unit entries.
+    /// Number of unit entries.
     pub fn unit_count(&self) -> usize {
         self.entries
             .values()
             .filter(|e| matches!(e.result, StoredResult::Unit(_)))
-            .count()
-    }
-
-    /// Number of v1 legacy entries still in the store.
-    pub fn legacy_count(&self) -> usize {
-        self.entries
-            .values()
-            .filter(|e| matches!(e.result, StoredResult::Combo(_)))
             .count()
     }
 
@@ -462,9 +456,9 @@ impl ResultStore {
     /// entries under the same key — exactly as if the shard's lines had
     /// been appended and the store compacted. Entries identical to what
     /// the store already holds are skipped, so re-merging the same
-    /// shard is a no-op and `merge ∘ gc` is idempotent. A partial
-    /// trailing line in the shard (interrupted run) is ignored;
-    /// corruption anywhere else is fatal. Run
+    /// shard is a no-op and `merge ∘ gc` is idempotent. A torn trailing
+    /// line in the shard (interrupted run) is ignored; any other bad
+    /// line is fatal. Run
     /// [`ResultStore::compact`] afterwards to drop the superseded
     /// duplicates from disk.
     pub fn merge_file(&mut self, path: &Path) -> Result<MergeStats, StoreError> {
@@ -476,13 +470,11 @@ impl ResultStore {
             if line.trim().is_empty() {
                 continue;
             }
-            let entry = match parse(line).and_then(|v| StoreEntry::from_json(&v)) {
-                Ok(entry) => entry,
-                // A partial trailing line is the expected artifact of an
-                // interrupted shard; the shard is read-only, so it is
-                // skipped rather than truncated.
-                Err(_) if lineno + 1 == lines.len() => break,
-                Err(e) => return Err(StoreError::corrupt(path, lineno, e)),
+            // A torn tail is the expected artifact of an interrupted
+            // shard; the shard is read-only, so it is skipped rather
+            // than truncated.
+            let Some(entry) = decode_line(path, &lines, lineno)? else {
+                break;
             };
             stats.read += 1;
             match self.entries.get(&entry.key) {
@@ -583,9 +575,6 @@ impl std::error::Error for StoreError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snug_experiments::SchemeResult;
-    use snug_metrics::MetricSet;
-    use snug_workloads::ComboClass;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         let dir =
@@ -602,60 +591,6 @@ mod tests {
             stop_reason: None,
             plateaus: Vec::new(),
         })
-    }
-
-    fn fake_legacy(label: &str, tp: f64) -> ComboResult {
-        ComboResult {
-            label: label.into(),
-            class: ComboClass::C3,
-            baseline_ipcs: vec![1.0, 0.5],
-            schemes: vec![SchemeResult {
-                scheme: "SNUG".into(),
-                metrics: MetricSet {
-                    throughput: tp,
-                    aws: tp,
-                    fair: tp,
-                },
-                ipcs: vec![1.0, 0.6],
-            }],
-            cc_sweep: vec![(0.0, 1.0)],
-        }
-    }
-
-    #[test]
-    fn unit_and_legacy_entries_coexist_and_are_typed() {
-        let dir = tmp_dir("typed");
-        let mut store = ResultStore::open(&dir).unwrap();
-        store
-            .insert_unit(
-                "u1".into(),
-                "unit-inputs".into(),
-                SchemeRun {
-                    scheme: "cc@50%".into(),
-                    ipcs: vec![0.5, 0.25],
-                    measured_cycles: None,
-                    stop_reason: None,
-                    plateaus: Vec::new(),
-                },
-            )
-            .unwrap();
-        store
-            .insert(
-                "c1".into(),
-                "combo-inputs".into(),
-                StoredResult::Combo(fake_legacy("a+b", 1.1)),
-            )
-            .unwrap();
-
-        let back = ResultStore::open(&dir).unwrap();
-        assert_eq!(back.len(), 2);
-        assert_eq!(back.unit_count(), 1);
-        assert_eq!(back.legacy_count(), 1);
-        assert_eq!(back.get_unit("u1").unwrap().scheme, "cc@50%");
-        assert!(back.get_unit("c1").is_none(), "typed lookup rejects kind");
-        assert_eq!(back.get_legacy_combo("c1").unwrap().label, "a+b");
-        assert!(back.get_legacy_combo("u1").is_none());
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -688,22 +623,47 @@ mod tests {
 
     #[test]
     fn corrupt_interior_lines_are_rejected_with_location() {
-        let dir = tmp_dir("corrupt");
-        let mut store = ResultStore::open(&dir).unwrap();
-        store
-            .insert("k".into(), "i".into(), fake("x+y", 1.0))
-            .unwrap();
-        let path = dir.join(STORE_FILE);
-        let mut text = fs::read_to_string(&path).unwrap();
-        let good_line = text.clone();
-        text.insert_str(0, "{\"key\": \"k2\", nope\n");
-        text.push_str(&good_line); // corrupt line is now interior
-        fs::write(&path, text).unwrap();
-        match ResultStore::open(&dir) {
-            Err(StoreError::Corrupt(_, line, _)) => assert_eq!(line, 1),
-            other => panic!("expected corrupt error, got {other:?}"),
+        // A complete line of no known record kind is corrupt even as the
+        // tail: only a tail that does not parse is a torn append (see
+        // `partial_trailing_line_is_dropped_and_truncated`).
+        let unparseable = "{\"key\": \"k2\", nope";
+        let unknown_kind = r#"{"key":"z","inputs":"i","v3":{"ipcs":[1.0]}}"#;
+        let v1_result = r#"{"key":"z","inputs":"i","result":{"label":"a+b"}}"#;
+        for (tag, bad, interior) in [
+            ("interior", unparseable, true),
+            ("unknown-kind-tail", unknown_kind, false),
+            ("v1-result-tail", v1_result, false),
+        ] {
+            let dir = tmp_dir(tag);
+            let mut store = ResultStore::open(&dir).unwrap();
+            store
+                .insert("k".into(), "i".into(), fake("x+y", 1.0))
+                .unwrap();
+            let path = dir.join(STORE_FILE);
+            let good = fs::read_to_string(&path).unwrap();
+            let text = if interior {
+                format!("{bad}\n{good}")
+            } else {
+                format!("{good}{bad}\n")
+            };
+            fs::write(&path, &text).unwrap();
+            match ResultStore::open(&dir) {
+                Err(StoreError::Corrupt(_, line, msg)) => {
+                    assert_eq!(line, if interior { 1 } else { 2 }, "{tag}");
+                    assert!(
+                        interior || msg.contains("`unit`, `series`, `span`"),
+                        "{tag}: {msg}"
+                    );
+                }
+                other => panic!("{tag}: expected corrupt error, got {other:?}"),
+            }
+            assert_eq!(
+                fs::read_to_string(&path).unwrap(),
+                text,
+                "{tag}: a failed open leaves the file byte-unchanged"
+            );
+            fs::remove_dir_all(&dir).unwrap();
         }
-        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -836,7 +796,7 @@ mod tests {
         store
             .insert("u1".into(), "i".into(), fake("x+y", 1.0))
             .unwrap();
-        // Fake a legacy store with the span inline in store.jsonl.
+        // Fake a store with the span inline in store.jsonl.
         let span_entry = StoreEntry {
             key: "s1".into(),
             inputs: "span".into(),
@@ -849,7 +809,7 @@ mod tests {
         fs::write(&path, text).unwrap();
 
         let mut back = ResultStore::open(&dir).unwrap();
-        assert_eq!(back.span_count(), 1, "legacy inline span still decodes");
+        assert_eq!(back.span_count(), 1, "an inline span still decodes");
         back.compact().unwrap();
         let store_text = fs::read_to_string(&path).unwrap();
         assert!(

@@ -1,7 +1,7 @@
 //! Sweep orchestration: expand a spec into per-(combo, scheme point)
-//! unit jobs, serve cached units from the store, migrate what a v1
-//! store can still prove, run the rest as a dependency graph on the
-//! parallel executor, and assemble per-combo results.
+//! unit jobs, serve cached units from the store, run the rest as a
+//! dependency graph on the parallel executor, and assemble per-combo
+//! results.
 //!
 //! Parallel execution is the default path and must never change the
 //! store: workers append completed entries to per-worker shard files
@@ -12,13 +12,11 @@
 
 use crate::exec::{self, ExecEvent, JobOutcome};
 use crate::hash::content_key;
-use crate::spec::{
-    legacy_combo_key, unit_key_phased, ComboJob, SweepSpec, UnitJob, SCHEMA_VERSION,
-};
+use crate::spec::{unit_key_phased, SweepSpec, UnitJob, SCHEMA_VERSION};
 use crate::store::{ResultStore, ShardWriter, StoreEntry, StoreError, StoredResult, SHARDS_DIR};
 use snug_experiments::{
-    assemble_combo, best_cc_index, pace_of, run_cc_points_shared_phased, run_point_paced,
-    run_point_phased, ComboResult, Pace, SchemePoint, SchemeRun,
+    assemble_combo, pace_of, run_cc_points_shared_phased, run_point_paced, run_point_phased,
+    ComboResult, Pace, SchemePoint, SchemeRun,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Mutex, PoisonError};
@@ -31,10 +29,8 @@ pub enum SweepEvent {
     Planned {
         /// Total unit jobs in the spec.
         total: usize,
-        /// Units already present in the store (including migrated ones).
+        /// Units already present in the store.
         hits: usize,
-        /// Of the hits, units synthesised from v1 combo entries.
-        migrated: usize,
     },
     /// A unit simulation started.
     JobStarted {
@@ -207,10 +203,8 @@ pub struct ComboOutcome {
 pub struct SweepOutcome {
     /// Per-combo assembled outcomes.
     pub combos: Vec<ComboOutcome>,
-    /// Unit jobs served from the store (including migrated units).
+    /// Unit jobs served from the store.
     pub cache_hits: usize,
-    /// Of the cache hits, units synthesised from v1 combo entries.
-    pub migrated: usize,
     /// Unit jobs executed fresh.
     pub executed: usize,
     /// Cycles actually simulated across all units (warm-up + measured;
@@ -228,71 +222,6 @@ impl SweepOutcome {
     pub fn results(&self) -> Vec<ComboResult> {
         self.combos.iter().map(|c| c.result.clone()).collect()
     }
-}
-
-/// Migrate what a v1 store entry for `job`'s combo can still prove into
-/// v2 unit entries: the L2P / L2S / DSR / SNUG points carry their full
-/// per-core IPCs in a v1 `ComboResult`, and the winning CC point is
-/// recoverable via [`best_cc_index`] — the same rule result assembly
-/// uses, so re-assembly re-selects the identical point. The four losing
-/// CC points are not reconstructible and stay pending. Returns the
-/// number of units migrated.
-fn migrate_v1_units(job: &ComboJob, store: &mut ResultStore) -> Result<usize, StoreError> {
-    // v1 entries only ever described the stationary canonical
-    // workload; a shifted combo's units must never be served from them.
-    if job.units.iter().any(|u| u.phase.is_some()) {
-        return Ok(0);
-    }
-    let legacy_key = legacy_combo_key(&job.combo, &job.config);
-    let Some(old) = store.get_legacy_combo(&legacy_key).cloned() else {
-        return Ok(0);
-    };
-    let best_cc_p = best_cc_index(&old.cc_sweep).map(|i| old.cc_sweep[i].0);
-    let mut migrated = 0;
-    for unit in &job.units {
-        if unit.shared_warmup {
-            // Shared-warm-up keys describe a different warm-up
-            // semantics; canonical v1 values must not masquerade as
-            // them.
-            continue;
-        }
-        if store.get_unit(&unit.key).is_some() {
-            continue;
-        }
-        let ipcs = match unit.point {
-            SchemePoint::L2p => Some(old.baseline_ipcs.clone()),
-            SchemePoint::L2s => scheme_ipcs(&old, "L2S"),
-            SchemePoint::Dsr => scheme_ipcs(&old, "DSR"),
-            SchemePoint::Snug => scheme_ipcs(&old, "SNUG"),
-            SchemePoint::Cc { spill_probability } if Some(spill_probability) == best_cc_p => {
-                scheme_ipcs(&old, "CC(Best)")
-            }
-            SchemePoint::Cc { .. } => None,
-        };
-        if let Some(ipcs) = ipcs {
-            store.insert_unit(
-                unit.key.clone(),
-                format!("migrated from v1 entry {legacy_key}"),
-                SchemeRun {
-                    scheme: unit.point.label(),
-                    ipcs,
-                    measured_cycles: None,
-                    stop_reason: None,
-                    plateaus: Vec::new(),
-                },
-            )?;
-            migrated += 1;
-        }
-    }
-    Ok(migrated)
-}
-
-fn scheme_ipcs(result: &ComboResult, scheme: &str) -> Option<Vec<f64>> {
-    result
-        .schemes
-        .iter()
-        .find(|s| s.scheme == scheme)
-        .map(|s| s.ipcs.clone())
 }
 
 /// Where a paced node's measurement window comes from: the baseline's
@@ -873,8 +802,7 @@ pub fn run_unit_jobs(
 }
 
 /// Run `spec` against `store`: leftover shards from a killed sweep are
-/// recovered first, v1 entries are migrated where possible, cached
-/// units are served, missing units run as a dependency graph on up to
+/// recovered first, cached units are served, missing units run as a dependency graph on up to
 /// `threads` workers (0 = all CPUs), and per-combo results are
 /// assembled from the units.
 pub fn run_sweep(
@@ -888,11 +816,6 @@ pub fn run_sweep(
     store.recover_shards()?;
     let combo_jobs = spec.combo_jobs();
 
-    let mut migrated = 0;
-    for job in &combo_jobs {
-        migrated += migrate_v1_units(job, store)?;
-    }
-
     let all_units: Vec<UnitJob> = combo_jobs.iter().flat_map(|j| j.units.clone()).collect();
     let hits = all_units
         .iter()
@@ -901,7 +824,6 @@ pub fn run_sweep(
     progress(SweepEvent::Planned {
         total: all_units.len(),
         hits,
-        migrated,
     });
 
     let unit_outcomes = run_unit_jobs(&all_units, store, threads, &mut progress)?;
@@ -939,7 +861,6 @@ pub fn run_sweep(
     Ok(SweepOutcome {
         combos,
         cache_hits,
-        migrated,
         executed,
         simulated_cycles,
         budgeted_cycles,
